@@ -9,8 +9,10 @@ parent context) induces the preference order that the search layer explores.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 IMPROVING = "improving"
@@ -81,29 +83,27 @@ class CPNet:
     """A conditional preference network.
 
     Instances are built unvalidated (the parser may produce broken candidates)
-    and checked once via :func:`validate`.  After a successful validation the
-    net is treated as immutable and may be shared across concurrent queries;
-    all derived structure (topological order, flip tables) is cached here.
+    and checked once via :func:`validate`.  ``variables`` is a tuple and
+    ``tables`` a read-only mapping of read-only rows, so a net cannot change
+    after validation and may be shared across concurrent queries.  The name
+    index and topological order are cached here by validation, and the search
+    engine compiles its integer core once, on the first query.
     """
 
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
-        self.variables: list[Variable] = [
+        self.variables: tuple[Variable, ...] = tuple(
             Variable(v.name, tuple(v.domain), tuple(v.parents)) for v in variables
-        ]
-        self.tables: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {
-            owner: {tuple(cond): tuple(ranking) for cond, ranking in rows.items()}
+        )
+        self.tables: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]] = MappingProxyType({
+            owner: MappingProxyType({tuple(cond): tuple(ranking) for cond, ranking in rows.items()})
             for owner, rows in tables.items()
-        }
+        })
         self._report: ValidationReport | None = None
         self._index: dict[str, int] = {}
         self._topo: tuple[str, ...] = ()
-        self._topo_pos: dict[str, int] = {}
-        self._topo_idx: tuple[int, ...] = ()
-        self._single_parent_binary = False
         self._parents_idx: list[tuple[int, ...]] = []
-        self._children_idx: list[tuple[int, ...]] = []
-        # per variable: {parent-values: {value: (improving targets, worsening targets)}}
-        self._flips: list[dict[tuple[str, ...], dict[str, tuple[tuple[str, ...], tuple[str, ...]]]]] = []
+        # the integer search core, compiled by cpnet.search on the first query
+        self._core: object | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -154,83 +154,43 @@ class CPNet:
         if not report.ok:
             raise CPNetError("net failed validation: " + "; ".join(report.problems))
 
-    def _build_caches(self) -> None:
+    def _build_caches(self, order: list[int]) -> None:
         self._index = {v.name: i for i, v in enumerate(self.variables)}
-        self._topo = tuple(_kahn_order(self.variables))
-        self._topo_pos = {name: i for i, name in enumerate(self._topo)}
-        self._parents_idx = [
-            tuple(self._index[p] for p in v.parents) for v in self.variables
-        ]
-        children: list[list[int]] = [[] for _ in self.variables]
-        for i, v in enumerate(self.variables):
-            for p in v.parents:
-                children[self._index[p]].append(i)
-        self._children_idx = [tuple(c) for c in children]
-        self._topo_idx = tuple(self._index[name] for name in self._topo)
-        self._single_parent_binary = all(
-            len(v.domain) == 2 and len(v.parents) <= 1 for v in self.variables
-        )
-        self._flips = []
-        for v in self.variables:
-            rows = self.tables[v.name]
-            per_row: dict[tuple[str, ...], dict[str, tuple[tuple[str, ...], tuple[str, ...]]]] = {}
-            for cond, ranking in rows.items():
-                per_value: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-                for pos, value in enumerate(ranking):
-                    better = tuple(ranking[:pos])
-                    worse = tuple(ranking[pos + 1:])
-                    per_value[value] = (better, worse)
-                per_row[cond] = per_value
-            self._flips.append(per_row)
+        self._topo = tuple(self.variables[i].name for i in order)
+        self._parents_idx = [tuple(self._index[p] for p in v.parents) for v in self.variables]
 
 
-def _kahn_order(variables: Sequence[Variable]) -> list[str]:
-    """Topological order of the parent DAG, ties broken by declaration order."""
+def _kahn(variables: Sequence[Variable]) -> tuple[list[int], list[str] | None]:
+    """One Kahn pass over the parent graph (undeclared parents ignored), ties
+    broken by declaration order: variable indices in topological order, plus
+    one cycle as a name path if the pass stalls.  Every unplaced variable then
+    has an unplaced parent, so following parent links must revisit one."""
     index = {v.name: i for i, v in enumerate(variables)}
-    remaining_parents = {v.name: set(v.parents) for v in variables}
-    placed: set[str] = set()
-    order: list[str] = []
-    while len(order) < len(variables):
-        ready = [
-            v.name
-            for v in variables
-            if v.name not in placed and remaining_parents[v.name] <= placed
-        ]
-        if not ready:
-            raise CPNetError("cycle in parent graph")
-        nxt = min(ready, key=lambda n: index[n])
-        placed.add(nxt)
-        order.append(nxt)
-    return order
-
-
-def _find_cycle(variables: Sequence[Variable]) -> list[str] | None:
-    """Return one cycle in the parent graph as a name path, if any."""
-    known = {v.name for v in variables}
-    edges = {v.name: [p for p in v.parents if p in known] for v in variables}
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = 0
-        stack.append(node)
-        for nxt in edges[node]:
-            if state.get(nxt) == 0:
-                return stack[stack.index(nxt):] + [nxt]
-            if nxt not in state:
-                cycle = visit(nxt)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        state[node] = 1
-        return None
-
-    for v in variables:
-        if v.name not in state:
-            cycle = visit(v.name)
-            if cycle is not None:
-                return cycle
-    return None
+    parents = [[index[p] for p in v.parents if p in index] for v in variables]
+    children: list[list[int]] = [[] for _ in variables]
+    for i, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(i)
+    waiting = [len(ps) for ps in parents]
+    ready = [i for i, w in enumerate(waiting) if not w]  # ascending, so a heap
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for c in children[i]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    if len(order) == len(variables):
+        return order, None
+    placed = set(order)
+    node = next(i for i in range(len(variables)) if i not in placed)
+    path: dict[int, None] = {}  # insertion-ordered, with O(1) membership
+    while node not in path:
+        path[node] = None
+        node = next(p for p in parents[node] if p not in placed)
+    walk = list(path)
+    return order, [variables[i].name for i in walk[walk.index(node):] + [node]]
 
 
 def validate(net: CPNet) -> ValidationReport:
@@ -265,7 +225,7 @@ def validate(net: CPNet) -> ValidationReport:
                 problems.append(f"duplicate parent {p} of variable {v.name}")
             seen_parents.add(p)
 
-    cycle = _find_cycle(net.variables)
+    order, cycle = _kahn(net.variables)
     if cycle is not None:
         problems.append("cycle " + " -> ".join(cycle))
 
@@ -304,9 +264,9 @@ def validate(net: CPNet) -> ValidationReport:
                 )
 
     report = ValidationReport(ok=not problems, problems=problems)
-    net._report = report
     if report.ok:
-        net._build_caches()
+        net._build_caches(order)
+    net._report = report  # published only once the caches are complete
     return report
 
 
@@ -316,15 +276,12 @@ def topological_order(net: CPNet) -> list[str]:
     return list(net._topo)
 
 
-def _parent_key(net: CPNet, values: tuple[str, ...], var_i: int) -> tuple[str, ...]:
-    return tuple(values[p] for p in net._parents_idx[var_i])
-
-
 def _targets(net: CPNet, values: tuple[str, ...], var_i: int, direction: str) -> tuple[str, ...]:
     """Sanctioned flip targets for one variable at a raw outcome tuple."""
-    row = net._flips[var_i][_parent_key(net, values, var_i)]
-    better, worse = row[values[var_i]]
-    return better if direction == IMPROVING else worse
+    owner = net.variables[var_i].name
+    ranking = net.tables[owner][tuple(values[p] for p in net._parents_idx[var_i])]
+    r = ranking.index(values[var_i])
+    return ranking[:r] if direction == IMPROVING else ranking[r + 1:]
 
 
 def legal_flips(net: CPNet, outcome: Outcome, direction: str) -> list[Flip]:

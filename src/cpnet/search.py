@@ -20,12 +20,22 @@ rightmost choice (with both suffix rules active) is itself safe to commit:
 search on chains and trees of binary variables then proceeds without
 backtracking, and the brute-force oracle in this module is the reference
 that the test suite checks this against.
+
+A validated net is frozen, and the first query compiles it into an integer
+core (``_Core``) that is cached on the net and shared read-only by concurrent
+queries.  A searched outcome keeps its fixed suffix and extension frontier as
+bitmasks that a flip updates locally, so the rightmost extension or candidate
+is the highest set bit.  ``fixed_suffix``, ``extend_suffix`` and
+``order_flips`` read that same state; strings return only in witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .model import (
     IMPROVING,
@@ -35,7 +45,6 @@ from .model import (
     Flip,
     FlipSequence,
     Outcome,
-    _parent_key,
     _targets,
 )
 
@@ -94,48 +103,12 @@ class SuffixSet:
 
 
 def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> SuffixSet:
-    """The maximal descendant-closed set on which ``z`` already matches ``x``.
-
-    Greatest fixpoint: walking variables children-before-parents, admit any
-    variable that matches and whose children were all admitted.
-    """
-    net._require_valid()
-    members = _fixed_suffix_idx(net, z.values, x.values)
-    return SuffixSet(frozenset(net.variables[i].name for i in members))
-
-
-def _fixed_suffix_idx(net: CPNet, z: tuple[str, ...], x: tuple[str, ...]) -> set[int]:
-    members: set[int] = set()
-    for i in reversed(net._topo_idx):
-        if z[i] == x[i] and all(c in members for c in net._children_idx[i]):
-            members.add(i)
-    return members
-
-
-def _suffix_and_extension(
-    net: CPNet,
-    z: tuple[str, ...],
-    x: tuple[str, ...],
-    direction: str,
-    want_extension: bool,
-) -> tuple[set[int], tuple[int, str] | None]:
-    """One children-before-parents pass: the fixed suffix plus, when asked,
-    the rightmost extension flip (membership of every descendant is already
-    final when its ancestor is visited)."""
-    members: set[int] = set()
-    extension: tuple[int, str] | None = None
-    children = net._children_idx
-    for i in reversed(net._topo_idx):
-        if all(c in members for c in children[i]):
-            if z[i] == x[i]:
-                members.add(i)
-            elif (
-                want_extension
-                and extension is None
-                and x[i] in _targets(net, z, i, direction)
-            ):
-                extension = (i, x[i])
-    return members, extension
+    """The maximal descendant-closed set on which ``z`` already matches ``x``:
+    every variable that neither differs from ``x`` nor has a descendant that
+    does."""
+    state = _searcher(net, z, x, IMPROVING, SearchConfig())
+    names = state.core.names
+    return SuffixSet(frozenset(n for p, n in enumerate(names) if not state.unfixed >> p & 1))
 
 
 def extend_suffix(
@@ -143,33 +116,17 @@ def extend_suffix(
 ) -> Flip | None:
     """A committed move next to the suffix, if one exists: a legal flip that
     sets some variable outside the suffix, all of whose descendants are fixed,
-    to its target value."""
-    net._require_valid()
-    members = {net._index[name] for name in suffix.variables}
-    found = _extension_idx(net, z.values, x.values, members, direction)
-    if found is None:
-        return None
-    var_i, target = found
-    return Flip(net.variables[var_i].name, z.values[var_i], target, direction)
-
-
-def _extension_idx(
-    net: CPNet,
-    z: tuple[str, ...],
-    x: tuple[str, ...],
-    members: set[int],
-    direction: str,
-) -> tuple[int, str] | None:
-    # Scan rightmost-first so the pick is deterministic and matches the
-    # engine's preferred expansion order.
-    for name in reversed(net._topo):
-        i = net._index[name]
-        if i in members or z[i] == x[i]:
-            continue
-        if not all(c in members for c in net._children_idx[i]):
-            continue
-        if x[i] in _targets(net, z, i, direction):
-            return i, x[i]
+    to its target value.  The rightmost such flip is the one the engine takes."""
+    state = _searcher(net, z, x, direction, SearchConfig())
+    core = state.core
+    outside = sum(1 << p for p, name in enumerate(core.names) if name not in suffix.variables)
+    candidates = state.reach & outside
+    while candidates:
+        p = candidates.bit_length() - 1
+        if not core.child_mask[p] & outside:
+            i = core.decl[p]
+            return Flip(core.names[p], z.values[i], x.values[i], direction)
+        candidates ^= 1 << p
     return None
 
 
@@ -180,45 +137,29 @@ def order_flips(
     x: Outcome,
     cfg: SearchConfig,
 ) -> list[Flip]:
-    """Deterministic candidate order: rightmost variable first (declaration
+    """Deterministic candidate order: rightmost variable first (topological
     order when the heuristic is off), then least-improving target within a
-    variable (most-improving when off)."""
+    variable (most-improving when off).  Every candidate must be a flip the
+    net sanctions at ``z``."""
     net._require_valid()
-    keyed = [(_flip_sort_key(net, z.values, f.variable, f.to_value, cfg), f) for f in candidates]
-    keyed.sort(key=lambda pair: pair[0])
-    return [f for _, f in keyed]
-
-
-def _flip_sort_key(
-    net: CPNet,
-    z: tuple[str, ...],
-    variable: str,
-    to_value: str,
-    cfg: SearchConfig,
-) -> tuple[int, int]:
-    i = net._index[variable]
-    pos = net._topo_pos[variable]
-    primary = -pos if cfg.rightmost else pos
-    ranking = net.tables[variable][_parent_key(net, z, i)]
-    rank = ranking.index(to_value)
-    # Improving targets sit above the current value: a LARGER rank index is a
-    # smaller improvement.  Worsening targets sit below: a smaller index is a
-    # smaller worsening step.  Both reduce to "prefer the target nearest the
-    # current value" when the heuristic is on, the farthest when off.
-    current = ranking.index(z[i])
-    distance = abs(rank - current)
-    secondary = distance if cfg.least_improving else -distance
-    return (primary, secondary)
+    rank: dict[Flip, int] = {}
+    for direction in {f.direction for f in candidates}:
+        state = _searcher(net, z, x, direction, cfg)
+        for k, (p, value) in enumerate(state.ordered(state.movable)):
+            rank[state.core.flip(p, state.vals[p], value, direction)] = k
+    try:
+        return sorted(candidates, key=rank.__getitem__)
+    except KeyError as err:
+        raise CPNetError(f"not a sanctioned flip at this outcome: {err.args[0]}") from None
 
 
 # -- brute-force oracle ----------------------------------------------------
 
 
-def _space_size(net: CPNet) -> int:
-    size = 1
-    for v in net.variables:
-        size *= len(v.domain)
-    return size
+def _check_cap(net: CPNet, cap: int) -> None:
+    net._require_valid()
+    if math.prod(len(v.domain) for v in net.variables) > cap:
+        raise CPNetError(f"outcome space exceeds oracle cap {cap}")
 
 
 def all_outcomes(net: CPNet) -> list[Outcome]:
@@ -237,55 +178,42 @@ def _improving_children(net: CPNet, values: tuple[str, ...]) -> list[tuple[str, 
     return children
 
 
-def oracle_dominates(net: CPNet, x: Outcome, y: Outcome, cap: int = 2**16) -> bool:
-    """Reference answer: breadth-first reachability from ``y`` to ``x`` over
-    the complete one-improving-flip graph.  Exhaustive, so only usable while
-    the outcome space stays at or below ``cap``."""
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
-    if _space_size(net) > cap:
-        raise CPNetError(f"outcome space exceeds oracle cap {cap}")
-    if x == y:
-        return False
-    frontier = [y.values]
-    seen = {y.values}
+def _better_outcomes(start: tuple[str, ...], children: Callable) -> set[tuple[str, ...]]:
+    """Breadth-first: every outcome other than ``start`` that one or more
+    improving flips reach from it."""
+    seen: set[tuple[str, ...]] = {start}
+    frontier = [start]
     while frontier:
-        nxt: list[tuple[str, ...]] = []
+        nxt = []
         for values in frontier:
-            for child in _improving_children(net, values):
-                if child == x.values:
-                    return True
+            for child in children(values):
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
         frontier = nxt
-    return False
+    return seen - {start}
+
+
+def oracle_dominates(net: CPNet, x: Outcome, y: Outcome, cap: int = 2**16) -> bool:
+    """Reference answer: breadth-first reachability from ``y`` to ``x`` over
+    the complete one-improving-flip graph.  Exhaustive, so only usable while
+    the outcome space stays at or below ``cap``."""
+    _check_cap(net, cap)
+    net.check_outcome(x)
+    net.check_outcome(y)
+    return x != y and x.values in _better_outcomes(y.values, lambda v: _improving_children(net, v))
 
 
 def oracle_closure(net: CPNet, cap: int = 2**16) -> dict[Outcome, frozenset[Outcome]]:
     """For every outcome, the set of strictly better outcomes it can reach.
     Convenience wrapper over the same graph the oracle walks."""
-    net._require_valid()
-    if _space_size(net) > cap:
-        raise CPNetError(f"outcome space exceeds oracle cap {cap}")
+    _check_cap(net, cap)
     outcomes = all_outcomes(net)
     adjacency = {o.values: _improving_children(net, o.values) for o in outcomes}
-    closure: dict[Outcome, frozenset[Outcome]] = {}
-    for o in outcomes:
-        seen: set[tuple[str, ...]] = set()
-        frontier = [o.values]
-        while frontier:
-            nxt = []
-            for values in frontier:
-                for child in adjacency[values]:
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-            frontier = nxt
-        seen.discard(o.values)
-        closure[o] = frozenset(Outcome(v) for v in seen)
-    return closure
+    return {
+        o: frozenset(Outcome(v) for v in _better_outcomes(o.values, adjacency.__getitem__))
+        for o in outcomes
+    }
 
 
 # -- witness checking --------------------------------------------------------
@@ -329,14 +257,82 @@ def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bo
 # -- the engine --------------------------------------------------------------
 
 
-class _Frame:
-    __slots__ = ("node", "children", "idx", "failed")
+class _Core:
+    """The integer form of a validated net, which is what the engine searches.
 
-    def __init__(self, node: tuple[str, ...], children: list[tuple[int, str]]):
-        self.node = node
-        self.children = children  # (variable index, target value)
-        self.idx = 0
+    A variable is its topological position ``p``, a value its index in the
+    domain, a set of variables an int bitmask over positions.  ``up[p]`` and
+    ``down[p]`` are flat tables indexed by ``row + value``, where ``row`` is
+    the mixed-radix parent index times the domain size; an entry holds the
+    improving (worsening) flips ``(p, target)`` in least-improving order.
+    """
+
+    def __init__(self, net: CPNet):
+        order = [net._index[name] for name in net._topo]
+        variables = [net.variables[i] for i in order]
+        pos = {v.name: p for p, v in enumerate(variables)}
+        parents = [[pos[name] for name in v.parents] for v in variables]
+        self.decl = tuple(order)
+        self.names = tuple(v.name for v in variables)
+        self.domains = tuple(v.domain for v in variables)
+        self.codes = tuple({value: k for k, value in enumerate(v.domain)} for v in variables)
+        self.single_parent_binary = all(
+            len(v.domain) == 2 and len(v.parents) <= 1 for v in variables
+        )
+        # fanout[q]: (child, weight of q's value in the child's row) pairs
+        fanout: list[list[tuple[int, int]]] = [[] for _ in variables]
+        up, down, anc = [], [], []  # anc: ancestors-or-self masks
+        for p, v in enumerate(variables):
+            weight, mask = len(v.domain), 1 << p
+            for q in reversed(parents[p]):
+                fanout[q].append((p, weight))
+                weight *= len(self.domains[q])
+                mask |= anc[q]
+            anc.append(mask)
+            better, worse = [], []
+            flip_to = {value: (p, k) for k, value in enumerate(v.domain)}  # shared pairs
+            for cond in itertools.product(*(self.domains[q] for q in parents[p])):
+                ranking = net.tables[v.name][cond]
+                for value in v.domain:
+                    r = ranking.index(value)
+                    better.append(tuple(flip_to[t] for t in reversed(ranking[:r])))
+                    worse.append(tuple(flip_to[t] for t in ranking[r + 1:]))
+            up.append(tuple(better))
+            down.append(tuple(worse))
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self.fanout = tuple(tuple(f) for f in fanout)
+        self.touched = tuple((q,) + tuple(c for c, _ in f) for q, f in enumerate(self.fanout))
+        self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
+        self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
+        self.anc = tuple(anc)
+        # mixed-radix weights that make an outcome one int key
+        sizes = [len(d) for d in self.domains[:-1]]
+        self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
+
+    def encode(self, values: tuple[str, ...]) -> list[int]:
+        return [code[values[i]] for code, i in zip(self.codes, self.decl)]
+
+    def flip(self, p: int, old: int, new: int, direction: str) -> Flip:
+        domain = self.domains[p]
+        return Flip(self.names[p], domain[old], domain[new], direction)
+
+
+def _core(net: CPNet) -> _Core:
+    core = net._core
+    if core is None:
+        core = net._core = _Core(net)  # one assignment of a finished core
+    return core
+
+
+class _Frame:
+    __slots__ = ("key", "children", "failed", "undo")
+
+    def __init__(self, key: int, children: list[tuple[int, int]], undo: tuple[int, int] | None):
+        self.key = key
+        self.children = iter(children)  # (position, value); resumes where it stopped
         self.failed = False  # a tried child's subtree was exhausted
+        self.undo = undo  # (position, value) that restores the parent outcome
 
 
 _FOUND = "found"
@@ -345,75 +341,141 @@ _EXPANDED = "expanded"
 
 
 class _Searcher:
-    """One direction of the search: DFS from ``root`` toward ``target``."""
+    """One direction of the search: DFS from ``start`` toward ``goal``.
 
-    def __init__(
-        self,
-        net: CPNet,
-        root: tuple[str, ...],
-        target: tuple[str, ...],
-        direction: str,
-        cfg: SearchConfig,
-        committed: bool,
-    ):
-        self.net = net
-        self.root = root
-        self.target = target
+    It holds the outcome of its top frame (popping a frame undoes its flip)
+    and keeps these bitmasks up to date flip by flip:
+
+    * ``unfixed``  - variables outside the fixed suffix: those that differ
+                     from the goal, and all their ancestors;
+    * ``frontier`` - members of ``unfixed`` with no child in it (all differ);
+    * ``movable``  - variables with at least one legal flip;
+    * ``reach``    - variables whose goal value is a legal flip target.
+
+    A flip of ``p`` moves the parent rows of its children only, so ``movable``
+    and ``reach`` change at ``p`` and its children, ``unfixed`` and
+    ``frontier`` at ``p`` and its ancestors.
+    """
+
+    def __init__(self, core: _Core, start: list[int], goal: list[int], direction: str,
+                 cfg: SearchConfig, committed: bool = False):
+        self.core = core
+        self.table = table = core.up if direction == IMPROVING else core.down
+        self.vals = vals = list(start)
+        self.goal = goal
+        self.rows = rows = [0] * len(vals)
+        for q, value in enumerate(vals):
+            for c, weight in core.fanout[q]:
+                rows[c] += value * weight
+        start_key = sum(map(operator.mul, vals, core.stride))
+        goal_key = sum(map(operator.mul, goal, core.stride))
+        movable = reach = unfixed = frontier = 0
+        child_mask = core.child_mask
+        for p in range(len(vals) - 1, -1, -1):
+            bit = 1 << p
+            value = vals[p]
+            flips = table[p][rows[p] + value]
+            if flips:
+                movable |= bit
+                if (p, goal[p]) in flips:
+                    reach |= bit
+            if child_mask[p] & unfixed:
+                unfixed |= bit
+            elif value != goal[p]:
+                unfixed |= bit
+                frontier |= bit
+        self.start_key, self.goal_key = start_key, goal_key
+        self.movable, self.reach, self.unfixed, self.frontier = movable, reach, unfixed, frontier
         self.direction = direction
         self.cfg = cfg
         self.committed = committed
-        self.track_paths = cfg.want_witness
-        self.visited: set[tuple[str, ...]] = {root}
-        self.came_from: dict[tuple[str, ...], tuple[tuple[str, ...], int, str]] = {}
-        self.stack: list[_Frame] = [_Frame(root, self._candidates(root))]
+        self.visited: set[int] = {start_key}
+        self.came_from: dict[int, tuple[int, int, int, int]] = {}
+        self.stack: list[_Frame] = [_Frame(start_key, self.candidates(), None)]
         self.expansions = 1  # the root expansion above
         self.backtracks = 0
-        self.hit: tuple[str, ...] | None = None
+        self.hit: int | None = None
 
-    def _candidates(self, node: tuple[str, ...]) -> list[tuple[int, str]]:
-        net, cfg = self.net, self.cfg
-        suffix: set[int] = set()
-        if cfg.suffix_fixing or cfg.suffix_extension:
-            suffix, extension = _suffix_and_extension(
-                net, node, self.target, self.direction, cfg.suffix_extension
-            )
-            if cfg.suffix_extension and extension is not None:
-                return [extension]
-            if not cfg.suffix_fixing:
-                suffix = set()
-        flips: list[tuple[int, str]] = []
-        for i in range(len(node)):
-            if i in suffix:
-                continue
-            for target in _targets(net, node, i, self.direction):
-                flips.append((i, target))
-        if len(flips) > 1:
-            flips.sort(
-                key=lambda f: _flip_sort_key(
-                    net, node, net.variables[f[0]].name, f[1], cfg
-                )
-            )
-        if self.committed:
-            return flips[:1]
+    def flip(self, p: int, value: int) -> None:
+        core, vals, rows, table, goal = self.core, self.vals, self.rows, self.table, self.goal
+        old = vals[p]
+        vals[p] = value
+        for c, weight in core.fanout[p]:
+            rows[c] += (value - old) * weight
+        movable, reach = self.movable, self.reach
+        for q in core.touched[p]:
+            bit = 1 << q
+            flips = table[q][rows[q] + vals[q]]
+            movable = movable | bit if flips else movable & ~bit
+            reach = reach | bit if (q, goal[q]) in flips else reach & ~bit
+        self.movable, self.reach = movable, reach
+        if value == goal[p]:
+            # p now matches: it and then its ancestors leave ``unfixed``,
+            # children first, until one differs or keeps an unfixed child.
+            child_mask, parent_mask = core.child_mask, core.parent_mask
+            unfixed, frontier = self.unfixed, self.frontier
+            pending = 1 << p
+            while pending:
+                q = pending.bit_length() - 1
+                bit = 1 << q
+                pending ^= bit
+                if child_mask[q] & unfixed:
+                    continue
+                if vals[q] != goal[q]:
+                    frontier |= bit
+                    continue
+                unfixed &= ~bit
+                frontier &= ~bit
+                pending |= parent_mask[q]
+            self.unfixed, self.frontier = unfixed, frontier
+        elif old == goal[p] and not self.unfixed >> p & 1:
+            # p now differs and had no differing descendant: it joins
+            # ``unfixed`` with all its ancestors, which leave the frontier.
+            self.frontier = self.frontier & ~core.anc[p] | 1 << p
+            self.unfixed |= core.anc[p]
+
+    def ordered(self, live: int) -> list[tuple[int, int]]:
+        """Every legal flip of the variables in ``live``, in the engine's
+        order: rightmost (or leftmost) variable first, then least-improving
+        (or most-improving) target."""
+        table, rows, vals, cfg = self.table, self.rows, self.vals, self.cfg
+        flips: list[tuple[int, int]] = []
+        while live:
+            p = (live if cfg.rightmost else live & -live).bit_length() - 1
+            live ^= 1 << p
+            entry = table[p][rows[p] + vals[p]]
+            flips += entry if cfg.least_improving else entry[::-1]
         return flips
 
-    def advance(self, other_visited: set[tuple[str, ...]] | None) -> str:
-        """Run until one node gets expanded, the target (or the other
+    def candidates(self) -> list[tuple[int, int]]:
+        """The children of the current outcome, as (position, value) pairs."""
+        cfg = self.cfg
+        if cfg.suffix_extension:
+            extension = self.frontier & self.reach
+            if extension:
+                p = extension.bit_length() - 1
+                return [(p, self.goal[p])]
+        live = self.movable & self.unfixed if cfg.suffix_fixing else self.movable
+        if self.committed:
+            # binary, so the rightmost movable variable has one flip
+            if not live:
+                return []
+            p = live.bit_length() - 1
+            return [self.table[p][self.rows[p] + self.vals[p]][0]]
+        return self.ordered(live)
+
+    def advance(self, other_visited: set[int] | None) -> str:
+        """Run until one node gets expanded, the goal (or the other
         frontier) is hit, or this side's space is exhausted."""
-        while True:
-            if not self.stack:
-                return _EXHAUSTED
-            frame = self.stack[-1]
-            pushed = False
-            while frame.idx < len(frame.children):
-                var_i, value = frame.children[frame.idx]
-                frame.idx += 1
-                child = list(frame.node)
-                child[var_i] = value
-                child_t = tuple(child)
-                is_new = child_t not in self.visited
-                hit = child_t == self.target or (
-                    other_visited is not None and child_t in other_visited
+        stack, vals, stride, visited = self.stack, self.vals, self.core.stride, self.visited
+        while stack:
+            frame = stack[-1]
+            for p, value in frame.children:
+                old = vals[p]
+                child = frame.key + (value - old) * stride[p]
+                is_new = child not in visited
+                hit = child == self.goal_key or (
+                    other_visited is not None and child in other_visited
                 )
                 if not is_new and self.cfg.visited_dedup and not hit:
                     continue  # silent dedup skip, not a tried sibling
@@ -421,45 +483,39 @@ class _Searcher:
                     self.backtracks += 1
                     frame.failed = False
                 if is_new:
-                    self.visited.add(child_t)
-                    if self.track_paths:
-                        self.came_from[child_t] = (frame.node, var_i, value)
+                    visited.add(child)
+                    if self.cfg.want_witness:
+                        self.came_from[child] = (frame.key, p, old, value)
                 if hit:
-                    self.hit = child_t
+                    self.hit = child
                     return _FOUND
-                self.stack.append(_Frame(child_t, self._candidates(child_t)))
+                self.flip(p, value)
+                stack.append(_Frame(child, self.candidates(), (p, old)))
                 self.expansions += 1
-                pushed = True
-                break
-            if pushed:
                 return _EXPANDED
-            self.stack.pop()
-            if self.stack:
-                self.stack[-1].failed = True
+            stack.pop()
+            if stack:
+                self.flip(*frame.undo)
+                stack[-1].failed = True
+        return _EXHAUSTED
 
-    def path_to(self, node: tuple[str, ...]) -> list[tuple[tuple[str, ...], int, str]]:
-        """Flip steps from the root to ``node`` via first-discovery parents."""
-        steps = []
-        cursor = node
-        while cursor != self.root:
-            prev, var_i, value = self.came_from[cursor]
-            steps.append((prev, var_i, value))
-            cursor = prev
-        steps.reverse()
-        return steps
+    def path_to(self, key: int) -> list[Flip]:
+        """The flips from the start to ``key`` via first-discovery parents."""
+        flips = []
+        while key != self.start_key:
+            key, p, old, new = self.came_from[key]
+            flips.append(self.core.flip(p, old, new, self.direction))
+        flips.reverse()
+        return flips
 
 
-def _witness_from_steps(
-    net: CPNet,
-    start: tuple[str, ...],
-    steps: list[tuple[tuple[str, ...], int, str]],
-    direction: str,
-) -> FlipSequence:
-    flips = [
-        Flip(net.variables[var_i].name, prev[var_i], value, direction)
-        for prev, var_i, value in steps
-    ]
-    return FlipSequence(Outcome(start), tuple(flips))
+def _searcher(net: CPNet, z: Outcome, x: Outcome, direction: str, cfg: SearchConfig) -> _Searcher:
+    """The engine's state at ``z`` searching toward ``x``, for the views above."""
+    net._require_valid()
+    net.check_outcome(z)
+    net.check_outcome(x)
+    core = _core(net)
+    return _Searcher(core, core.encode(z.values), core.encode(x.values), direction, cfg)
 
 
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
@@ -479,21 +535,19 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     if x == y:
         return Verdict(NOT_DOMINATED, stats=stats)
 
+    core = _core(net)
+    xs, ys = core.encode(x.values), core.encode(y.values)
     # On binary nets where no variable has two parents, the first-ordered
     # move under the full rule set never needs reconsidering, so each node
     # keeps a single child and chains/trees search backtrack-free.
-    committed = (
-        cfg.rightmost
-        and cfg.suffix_fixing
-        and cfg.suffix_extension
-        and net._single_parent_binary
-    )
+    committed = cfg.rightmost and cfg.suffix_fixing and cfg.suffix_extension
+    committed = committed and core.single_parent_binary
 
     searchers: list[_Searcher] = []
     if cfg.direction in (IMPROVING, BIDIRECTIONAL):
-        searchers.append(_Searcher(net, y.values, x.values, IMPROVING, cfg, committed))
+        searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg, committed))
     if cfg.direction in (WORSENING, BIDIRECTIONAL):
-        searchers.append(_Searcher(net, x.values, y.values, WORSENING, cfg, committed))
+        searchers.append(_Searcher(core, xs, ys, WORSENING, cfg, committed))
     bidirectional = len(searchers) == 2
 
     def snapshot(decided: str) -> SearchStats:
@@ -507,27 +561,15 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
             return None
         meet = side.hit
         assert meet is not None
-        if not bidirectional or meet == side.target:
-            steps = side.path_to(meet)
-            return _witness_from_steps(net, side.root, steps, side.direction)
+        if not bidirectional or meet == side.goal_key:
+            return FlipSequence(y if side.direction == IMPROVING else x, tuple(side.path_to(meet)))
         # Frontier meeting: improving path y -> meet plus the reverse of the
         # worsening path x -> meet, emitted as one improving chain y -> x.
-        improving = searchers[0]
-        worsening = searchers[1]
-        up = improving.path_to(meet)
-        down = worsening.path_to(meet)
-        flips = [
-            Flip(net.variables[var_i].name, prev[var_i], value, IMPROVING)
-            for prev, var_i, value in up
-        ]
-        cursor = meet
-        for prev, var_i, value in reversed(down):
-            flips.append(Flip(net.variables[var_i].name, cursor[var_i], prev[var_i], IMPROVING))
-            cursor = prev
-        return FlipSequence(Outcome(y.values), tuple(flips))
+        down = [f.reversed() for f in reversed(searchers[1].path_to(meet))]
+        return FlipSequence(y, tuple(searchers[0].path_to(meet) + down))
 
     active = 0
-    total = sum(s.expansions for s in searchers)
+    total = len(searchers)  # one root expansion each
     while True:
         side = searchers[active]
         other = searchers[1 - active].visited if bidirectional else None

@@ -95,6 +95,59 @@ class TestValidate:
         with pytest.raises(CPNetError):
             topological_order(net)
 
+    def test_long_child_first_chain_validates(self):
+        n = 3000
+        net = _long_chain(n, reversed(range(n)))
+        assert validate(net).ok
+        assert topological_order(net) == [f"X{i}" for i in range(n)]
+
+    def test_long_cycle_is_reported(self):
+        n = 3000
+        net = _long_chain(n, range(n), closed=True)
+        report = validate(net)
+        assert not report.ok
+        cycle = [p for p in report.problems if p.startswith("cycle ")]
+        assert len(cycle) == 1
+        names = cycle[0][len("cycle "):].split(" -> ")
+        assert len(names) == n + 1 and names[0] == names[-1]
+        assert set(names) == {f"X{i}" for i in range(n)}
+
+    def test_report_published_only_after_caches_are_built(self, monkeypatch):
+        net = _long_chain(3, range(3))
+
+        def broken(self, order):
+            raise RuntimeError("cache build failed")
+
+        monkeypatch.setattr(CPNet, "_build_caches", broken)
+        with pytest.raises(RuntimeError):
+            validate(net)
+        assert net._report is None
+        with pytest.raises(RuntimeError):
+            validate(net)
+        monkeypatch.undo()
+        assert validate(net).ok
+
+    def test_validated_net_is_frozen(self, chain2):
+        with pytest.raises(TypeError):
+            chain2.variables[0] = Variable("Z", ("z", "zbar"))
+        with pytest.raises(TypeError):
+            chain2.tables["A"] = {(): ("abar", "a")}
+        with pytest.raises(TypeError):
+            chain2.tables["B"][("a",)] = ("bbar", "b")
+        assert validate(chain2).ok
+
+
+def _long_chain(n, declaration_order, closed=False):
+    """A binary chain X0 -> ... -> Xn-1 (closed into a cycle when asked),
+    declared in the given order of indices."""
+    variables, tables = [], {}
+    for i in declaration_order:
+        parent = f"X{(i - 1) % n}" if i or closed else None
+        variables.append(Variable(f"X{i}", ("t", "f"), (parent,) if parent else ()))
+        rows = [("t",), ("f",)] if parent else [()]
+        tables[f"X{i}"] = {row: ("t", "f") for row in rows}
+    return CPNet(variables, tables)
+
 
 class TestTopologicalOrder:
     def test_chain(self, chain3):

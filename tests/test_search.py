@@ -1,5 +1,6 @@
 """Search engine: dominance queries, heuristics, oracle, witnesses."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -12,7 +13,9 @@ from cpnet import (
     CPNetError,
     Flip,
     FlipSequence,
+    Outcome,
     SearchConfig,
+    apply_flip,
     dominates,
     extend_suffix,
     fixed_suffix,
@@ -24,7 +27,7 @@ from cpnet import (
     validate,
     verify_witness,
 )
-from helpers import all_pairs, outcome, random_net
+from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
     direction="improving",
@@ -202,6 +205,13 @@ class TestOrderFlips:
         candidates = legal_flips(chain3, z, "improving")
         assert len(candidates) == 1
         assert order_flips(chain3, z, candidates, x, SearchConfig()) == candidates
+
+    def test_unsanctioned_candidate_rejected(self, chain3):
+        z = outcome(chain3, "A=abar,B=bbar,C=cbar")
+        x = outcome(chain3, "A=a,B=bbar,C=cbar")
+        stray = Flip("B", "bbar", "b", "improving")  # B's row under A=abar prefers bbar
+        with pytest.raises(CPNetError):
+            order_flips(chain3, z, [stray], x, SearchConfig())
 
 
 class TestVerifyWitness:
@@ -384,3 +394,119 @@ class TestOracleEquivalenceSmoke:
                 forward = dominates(net, x, y).kind == DOMINATES
                 backward = dominates(net, y, x).kind == DOMINATES
                 assert not (forward and backward)
+
+
+# -- pinned behaviour ----------------------------------------------------------
+#
+# (kind, expansions, backtracks, direction_decided, witness) for a fixed set
+# of queries; witness is (flip count, first 16 hex digits of a SHA-256 over
+# the start values and every flip), or None.  Recorded from the string-based
+# engine that the compiled integer core replaced, so the search itself, not
+# only its verdicts, is held fixed.
+
+PINNED = [
+    ("not_dominated", 7, 0, "improving", None),
+    ("budget_exhausted", 2000, 817, "none", None),
+    ("not_dominated", 5, 0, "worsening", None),
+    ("dominates", 7, 0, "improving", (7, "f95cdcf3667323ff")),
+    ("dominates", 19, 0, "worsening", (9, "182b8d6a247f4912")),
+    ("budget_exhausted", 2000, 684, "none", None),
+    ("not_dominated", 40, 11, "improving", None),
+    ("dominates", 12, 0, "improving", (6, "de49cfc36f7e12f6")),
+    ("budget_exhausted", 2000, 496, "none", None),
+    ("not_dominated", 10, 1, "improving", None),
+    ("dominates", 15, 0, "worsening", (8, "0fb3f50d4a082844")),
+    ("not_dominated", 11, 1, "worsening", None),
+    ("dominates", 30, 8, "improving", (11, "024e648851fa7f5d")),
+    ("dominates", 10, 0, "improving", (5, "af4262a106fe2bdb")),
+    ("not_dominated", 14, 0, "worsening", None),
+    ("dominates", 2, 0, "improving", (2, "a84325490a942f65")),
+    ("dominates", 10, 0, "improving", (5, "521b11cf2fc39f27")),
+    ("not_dominated", 14, 0, "worsening", None),
+    ("not_dominated", 71, 27, "improving", None),
+    ("dominates", 4, 0, "improving", (2, "3eafa432c27f4c3b")),
+    ("not_dominated", 193, 86, "worsening", None),
+    ("not_dominated", 18, 0, "improving", None),
+    ("not_dominated", 29, 0, "worsening", None),
+    ("dominates", 5, 0, "worsening", (5, "c8925a2bf8c346e3")),
+    ("dominates", 9, 0, "improving", (9, "e1461b532bb4c109")),
+    ("not_dominated", 57, 8, "worsening", None),
+    ("dominates", 3, 0, "worsening", (3, "64e48255330dad5f")),
+    ("dominates", 16, 3, "improving", (7, "9631c76743b57bc3")),
+    ("not_dominated", 15, 0, "worsening", None),
+    ("dominates", 11, 0, "worsening", (11, "4481e64b00c5a9ba")),
+    ("dominates", 10, 0, "improving", (10, "8c08191b0b30c6a2")),
+    ("not_dominated", 21, 1, "worsening", None),
+    ("dominates", 9, 0, "worsening", (9, "4a8bee3118e5e5f9")),
+    ("budget_exhausted", 2000, 698, "none", None),
+    ("not_dominated", 289, 107, "worsening", None),
+    ("dominates", 6, 0, "worsening", (6, "e779a2df42e508e7")),
+    ("dominates", 9, 0, "improving", (9, "bd4fc650368b097d")),
+    ("not_dominated", 2, 0, "improving", None),
+    ("not_dominated", 19, 7, "worsening", None),
+    ("dominates", 5, 0, "improving", (5, "db07445686913464")),
+    ("dominates", 4, 0, "improving", (2, "58d23b6596d2be92")),
+    ("dominates", 11, 0, "worsening", (11, "777fd5563b3ebb9e")),
+]
+
+
+def _pinned_pair(rng, net):
+    y = Outcome(tuple(rng.choice(v.domain) for v in net.variables))
+    if rng.random() < 0.4:
+        return Outcome(tuple(rng.choice(v.domain) for v in net.variables)), y
+    x = y
+    for _ in range(rng.randint(2, 12)):
+        flips = legal_flips(net, x, "improving")
+        if not flips:
+            break
+        x = apply_flip(net, x, rng.choice(flips))
+    return x, y
+
+
+def _pinned_queries():
+    rng = random.Random(2024)
+    nets = [
+        random_chain(rng, 12),
+        random_chain(rng, 30),
+        random_tree(rng, 16),
+        random_tree(rng, 26),
+        random_net(rng, 12, domain_sizes=(2, 3), max_parents=2),
+        random_net(rng, 14, domain_sizes=(2, 3), max_parents=3),
+        random_net(rng, 20, domain_sizes=(2,), max_parents=2),
+    ]
+    configs = [
+        SearchConfig(),
+        SearchConfig(suffix_fixing=False),
+        SearchConfig(suffix_extension=False),
+        SearchConfig(rightmost=False),
+        SearchConfig(least_improving=False),
+        SearchConfig(visited_dedup=False),
+    ]
+    combos = [
+        (cfg, direction)
+        for cfg in configs
+        for direction in ("improving", "worsening", "bidirectional")
+    ]
+    queries = []
+    for k in range(len(PINNED)):
+        net = nets[k % len(nets)]
+        cfg, direction = combos[(k * 5) % len(combos)]
+        x, y = _pinned_pair(rng, net)
+        queries.append((net, x, y, replace(cfg, direction=direction, budget=2000)))
+    return queries
+
+
+def _fingerprint(verdict):
+    w = verdict.witness
+    flips = None
+    if w is not None:
+        steps = [(f.variable, f.from_value, f.to_value, f.direction) for f in w.flips]
+        digest = hashlib.sha256(repr((w.start.values, steps)).encode()).hexdigest()
+        flips = (len(w.flips), digest[:16])
+    s = verdict.stats
+    return (verdict.kind, s.expansions, s.backtracks, s.direction_decided, flips)
+
+
+def test_pinned_search_behaviour():
+    got = [_fingerprint(dominates(net, x, y, cfg)) for net, x, y, cfg in _pinned_queries()]
+    assert got == PINNED
