@@ -1,19 +1,22 @@
 """Catalog application: non-dominated fronts and dominance-layered sorting.
 
 Rows with identical outcomes collapse to one representative (equal outcomes
-never dominate each other).  Verdicts are memoized per ordered outcome pair,
-and established dominances close transitively before any new search runs, so
-a catalog rarely needs all pairwise comparisons.
+never dominate each other).  Both entry points read one pass over the unique
+outcomes in descending rank (Laing, Thwaites & Gosling, JAIR 2019).  Every
+improving flip raises the rank, so an outcome can only be dominated by one
+visited before it, and two outcomes of equal rank are incomparable.  Each
+outcome is tested against the higher-ranked ones, deepest layer first, by one
+search per pair in one direction ("does a dominate b?"); the first that
+dominates it is its winner and places it one layer below the winner's.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsl import CatalogRow
 from .model import CPNet, Outcome
-from .search import BUDGET_EXHAUSTED, DOMINATES, NOT_DOMINATED, SearchConfig, dominates
+from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _core, dominates
 
 
 @dataclass
@@ -25,46 +28,11 @@ class ParetoReport:
 
 
 @dataclass
-class _Memo:
-    """Pairwise verdict cache with a transitive shortcut."""
-
-    net: CPNet
-    cfg: SearchConfig
-    enabled: bool = True
-    cache: dict[tuple[Outcome, Outcome], str] = field(default_factory=dict)
-    better_than: dict[Outcome, set[Outcome]] = field(default_factory=dict)
-    searches: int = 0
-
-    def _known_chain(self, a: Outcome, b: Outcome) -> bool:
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            node = queue.popleft()
-            for nxt in self.better_than.get(node, ()):
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
-
-    def query(self, a: Outcome, b: Outcome) -> str:
-        """Verdict kind for "a dominates b"."""
-        if a == b:
-            return NOT_DOMINATED
-        key = (a, b)
-        if self.enabled and key in self.cache:
-            return self.cache[key]
-        if self.enabled and self._known_chain(a, b):
-            kind = DOMINATES
-        else:
-            kind = dominates(self.net, a, b, self.cfg).kind
-            self.searches += 1
-        if self.enabled:
-            self.cache[key] = kind
-            if kind == DOMINATES:
-                self.better_than.setdefault(a, set()).add(b)
-        return kind
+class _Pass:
+    tiers: list[list[Outcome]]  # unique outcomes by dominance layer
+    winner: dict[Outcome, Outcome]  # dominated outcome -> a dominator
+    cut: list[tuple[Outcome, Outcome]]  # (a, b) where "a dominates b" ran out of budget
+    searches: int
 
 
 def _group_rows(rows: list[CatalogRow]) -> tuple[list[Outcome], dict[Outcome, list[str]]]:
@@ -79,65 +47,62 @@ def _group_rows(rows: list[CatalogRow]) -> tuple[list[Outcome], dict[Outcome, li
     return order, members
 
 
+def _layers(net: CPNet, unique: list[Outcome], cfg: SearchConfig) -> _Pass:
+    """The rank-ordered dominance pass; ties in rank keep first appearance."""
+    net._require_valid()
+    core = _core(net)
+    rank: dict[Outcome, int] = {}
+    for o in unique:
+        net.check_outcome(o)
+        rank[o] = core.rank(core.encode(o.values))
+    found = _Pass([], {}, [], 0)
+    layer: dict[Outcome, int] = {}
+    for b in sorted(unique, key=rank.__getitem__, reverse=True):
+        layer[b] = 0
+        for a in (a for tier in reversed(found.tiers) for a in tier if rank[a] > rank[b]):
+            kind = dominates(net, a, b, cfg).kind
+            found.searches += 1
+            if kind == DOMINATES:
+                found.winner[b] = a
+                layer[b] = layer[a] + 1
+                break
+            if kind == BUDGET_EXHAUSTED:
+                found.cut.append((a, b))
+        if layer[b] == len(found.tiers):
+            found.tiers.append([])
+        found.tiers[layer[b]].append(b)
+    return found
+
+
 def pareto_front(
     net: CPNet,
     rows: list[CatalogRow],
     cfg: SearchConfig | None = None,
-    use_cache: bool = True,
 ) -> ParetoReport:
     """Split catalog rows into non-dominated and dominated (with a witness
     winner per loser); comparisons that exhaust the budget leave their id
     pairs undecided rather than guessing.
-
-    New rows are compared against the current non-dominated candidates first,
-    which retires losers with the fewest searches.
     """
-    net._require_valid()
-    cfg = cfg or SearchConfig()
-    memo = _Memo(net, cfg, enabled=use_cache)
     unique, members = _group_rows(rows)
-
-    front: list[Outcome] = []
-    beaten: dict[Outcome, Outcome] = {}  # loser -> winner
-    unsettled: set[frozenset[Outcome]] = set()
-
-    for candidate in unique:
-        defeated = False
-        for incumbent in list(front):
-            verdict = memo.query(incumbent, candidate)
-            if verdict == DOMINATES:
-                beaten[candidate] = incumbent
-                defeated = True
-                break
-            incumbent_lost = memo.query(candidate, incumbent)
-            if incumbent_lost == DOMINATES:
-                beaten[incumbent] = candidate
-                front.remove(incumbent)
-            elif BUDGET_EXHAUSTED in (verdict, incumbent_lost):
-                unsettled.add(frozenset((incumbent, candidate)))
-        if not defeated:
-            front.append(candidate)
-
+    found = _layers(net, unique, cfg or SearchConfig())
+    winner = found.winner
     # A loser settled elsewhere no longer leaves a pair open.
-    open_pairs = {
-        pair for pair in unsettled if not any(o in beaten for o in pair)
-    }
+    open_pairs = [(a, b) for a, b in found.cut if a not in winner and b not in winner]
     blocked = {o for pair in open_pairs for o in pair}
 
     nondominated: list[str] = []
     dominated: list[tuple[str, str]] = []
-    undecided: list[tuple[str, str]] = []
     for outcome in unique:
         ids = members[outcome]
-        if outcome in beaten:
-            winner_id = members[beaten[outcome]][0]
+        if outcome in winner:
+            winner_id = members[winner[outcome]][0]
             dominated.extend((loser, winner_id) for loser in ids)
         elif outcome not in blocked:
             nondominated.extend(ids)
-    for pair in sorted(open_pairs, key=lambda p: sorted(members[o][0] for o in p)):
-        a, b = sorted(pair, key=lambda o: members[o][0])
-        undecided.append((members[a][0], members[b][0]))
-    return ParetoReport(nondominated, dominated, undecided, memo.searches)
+    undecided = sorted(
+        (min(i, j), max(i, j)) for a, b in open_pairs for i in members[a] for j in members[b]
+    )
+    return ParetoReport(nondominated, dominated, undecided, found.searches)
 
 
 def sort_catalog(
@@ -151,37 +116,6 @@ def sort_catalog(
     every row that dominates it.  Ties within a layer are ordered by id.
     Comparisons the budget cut off are treated as non-dominating.
     """
-    net._require_valid()
-    cfg = cfg or SearchConfig()
-    memo = _Memo(net, cfg)
     unique, members = _group_rows(rows)
-
-    dominators: dict[Outcome, list[Outcome]] = {o: [] for o in unique}
-    for a in unique:
-        for b in unique:
-            if a is not b and memo.query(a, b) == DOMINATES:
-                dominators[b].append(a)
-
-    layer_of: dict[Outcome, int] = {}
-    remaining = list(unique)
-    while remaining:
-        placed_any = False
-        for outcome in list(remaining):
-            if all(d in layer_of for d in dominators[outcome]):
-                layer_of[outcome] = (
-                    max((layer_of[d] for d in dominators[outcome]), default=-1) + 1
-                )
-                remaining.remove(outcome)
-                placed_any = True
-        if not placed_any:  # cannot happen on acyclic dominance, defensive
-            for outcome in remaining:
-                layer_of[outcome] = max(layer_of.values(), default=-1) + 1
-            break
-
-    depth = max(layer_of.values(), default=-1) + 1
-    layers: list[list[str]] = [[] for _ in range(depth)]
-    for outcome, layer in layer_of.items():
-        layers[layer].extend(members[outcome])
-    for bucket in layers:
-        bucket.sort()
-    return layers
+    tiers = _layers(net, unique, cfg or SearchConfig()).tiers
+    return [sorted(i for o in tier for i in members[o]) for tier in tiers]

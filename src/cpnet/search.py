@@ -223,6 +223,8 @@ def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> boo
     """True iff ``seq`` proves x > y: an improving chain from y to x, or the
     worsening mirror from x to y.  The empty sequence proves nothing."""
     net._require_valid()
+    net.check_outcome(x)
+    net.check_outcome(y)
     if not seq.flips:
         return False
     if seq.start == y and _replays(net, seq, IMPROVING, x):
@@ -233,9 +235,11 @@ def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> boo
 
 
 def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bool:
-    values = seq.start.values
-    if len(values) != len(net.variables):
+    try:
+        net.check_outcome(seq.start)
+    except CPNetError:
         return False
+    values = seq.start.values
     seen = {values}
     for flip in seq.flips:
         if flip.variable not in net._index:
@@ -265,6 +269,7 @@ class _Core:
     ``down[p]`` are flat tables indexed by ``row + value``, where ``row`` is
     the mixed-radix parent index times the domain size; an entry holds the
     improving (worsening) flips ``(p, target)`` in least-improving order.
+    ``rank`` reads the same tables; the catalog pass orders outcomes by it.
     """
 
     def __init__(self, net: CPNet):
@@ -306,12 +311,37 @@ class _Core:
         self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
         self.anc = tuple(anc)
+        # rank weights A(p) = 1 + sum of A(c)(|D_c| - 1) over the children c
+        weight = [1] * len(variables)
+        for p in reversed(range(len(variables))):
+            weight[p] += sum(weight[c] * (len(self.domains[c]) - 1) for c, _ in fanout[p])
+        self.rank_weight = tuple(weight)
         # mixed-radix weights that make an outcome one int key
         sizes = [len(d) for d in self.domains[:-1]]
         self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
 
     def encode(self, values: tuple[str, ...]) -> list[int]:
         return [code[values[i]] for code, i in zip(self.codes, self.decl)]
+
+    def rows(self, vals: list[int]) -> list[int]:
+        """Each variable's parent row, times its domain size, at ``vals``."""
+        rows = [0] * len(vals)
+        for q, value in enumerate(vals):
+            for c, weight in self.fanout[q]:
+                rows[c] += value * weight
+        return rows
+
+    def rank(self, vals: list[int]) -> int:
+        """The rank of Laing, Thwaites & Gosling (JAIR 2019): the sum over
+        variables of ``A(p)`` times the number of values ranked below the
+        current one.  Every improving flip raises it by at least 1, so x > y
+        implies rank(x) > rank(y)."""
+        return sum(
+            a * (len(domain) - 1 - len(up[row + value]))
+            for a, domain, up, row, value in zip(
+                self.rank_weight, self.domains, self.up, self.rows(vals), vals
+            )
+        )
 
     def flip(self, p: int, old: int, new: int, direction: str) -> Flip:
         domain = self.domains[p]
@@ -363,10 +393,7 @@ class _Searcher:
         self.table = table = core.up if direction == IMPROVING else core.down
         self.vals = vals = list(start)
         self.goal = goal
-        self.rows = rows = [0] * len(vals)
-        for q, value in enumerate(vals):
-            for c, weight in core.fanout[q]:
-                rows[c] += value * weight
+        self.rows = rows = core.rows(vals)
         start_key = sum(map(operator.mul, vals, core.stride))
         goal_key = sum(map(operator.mul, goal, core.stride))
         movable = reach = unfixed = frontier = 0

@@ -18,6 +18,11 @@ def chain3_path():
     return str(FIXTURES / "chain3.cpnet")
 
 
+@pytest.fixture()
+def indep3_path():
+    return str(FIXTURES / "indep3.cpnet")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -208,13 +213,30 @@ class TestPareto:
         assert report["nondominated"] == ["r1"]
         assert len(report["dominated"]) == 3
 
-    def test_undecided_exit_code(self, capsys, chain3_path, tmp_path):
+    def test_equal_rank_pair_is_decided_within_budget(self, capsys, chain3_path, tmp_path):
         catalog = tmp_path / "items.csv"
         catalog.write_text("id,A,B,C\np,a,bbar,c\nq,abar,bbar,cbar\n")
         code, out, _ = run(
             capsys,
             "pareto",
             chain3_path,
+            "--catalog", str(catalog),
+            "--budget", "1",
+            "--json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["nondominated"] == ["p", "q"]
+        assert report["undecided"] == []
+        assert report["comparisons_run"] == 0
+
+    def test_undecided_exit_code(self, capsys, indep3_path, tmp_path):
+        catalog = tmp_path / "items.csv"
+        catalog.write_text("id,A,B,C\np,a,b,cbar\nq,abar,bbar,c\n")
+        code, out, _ = run(
+            capsys,
+            "pareto",
+            indep3_path,
             "--catalog", str(catalog),
             "--budget", "1",
             "--json",

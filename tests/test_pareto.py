@@ -5,6 +5,8 @@ import random
 from cpnet import (
     CatalogRow,
     SearchConfig,
+    all_outcomes,
+    oracle_closure,
     parse_catalog,
     pareto_front,
     sort_catalog,
@@ -72,30 +74,82 @@ class TestParetoFront:
             assert dominates(chain3, by_id[winner], by_id[loser]).kind == DOMINATES
         assert not (set(report.nondominated) & {l for l, _ in report.dominated})
 
-    def test_budget_leaves_pairs_undecided(self, chain3):
+    def test_equal_rank_pair_needs_no_search(self, chain3):
         rows = _rows(
             chain3,
             ("p", "A=a,B=bbar,C=c"),
             ("q", "A=abar,B=bbar,C=cbar"),
         )
         report = pareto_front(chain3, rows, SearchConfig(budget=1))
+        assert report.nondominated == ["p", "q"]
+        assert report.undecided == []
+        assert report.comparisons_run == 0
+
+    def test_budget_leaves_pairs_undecided(self, indep3):
+        rows = _rows(
+            indep3,
+            ("p", "A=a,B=b,C=cbar"),
+            ("q", "A=abar,B=bbar,C=c"),
+        )
+        report = pareto_front(indep3, rows, SearchConfig(budget=1))
         assert report.undecided == [("p", "q")]
         assert report.nondominated == []
 
-    def test_memoization_is_verdict_transparent(self):
+    def test_undecided_pairs_name_every_duplicate(self, indep3):
+        rows = _rows(
+            indep3,
+            ("p", "A=a,B=b,C=cbar"),
+            ("q", "A=abar,B=bbar,C=c"),
+            ("p2", "A=a,B=b,C=cbar"),
+        )
+        report = pareto_front(indep3, rows, SearchConfig(budget=1))
+        assert report.undecided == [("p", "q"), ("p2", "q")]
+        assert report.nondominated == []
+        assert report.dominated == []
+
+    def test_settled_loser_leaves_no_open_pair(self, indep3):
+        rows = _rows(
+            indep3,
+            ("p", "A=a,B=bbar,C=c"),
+            ("q", "A=a,B=b,C=c"),
+            ("r", "A=abar,B=bbar,C=cbar"),
+        )
+        report = pareto_front(indep3, rows, SearchConfig(budget=3))
+        assert report.dominated == [("p", "q")]
+        assert report.undecided == [("q", "r")]  # p vs r also ran out of budget
+        assert report.nondominated == []
+
+    def test_pass_matches_the_oracle(self):
         rng = random.Random(91)
-        for _ in range(6):
-            net = random_net(rng, 3)
-            catalog = [
-                CatalogRow(f"r{i}", o)
-                for i, o in enumerate(dict.fromkeys(o for o, _ in all_pairs(net)))
-            ]
-            cached = pareto_front(net, catalog, use_cache=True)
-            uncached = pareto_front(net, catalog, use_cache=False)
-            assert cached.nondominated == uncached.nondominated
-            assert cached.dominated == uncached.dominated
-            assert cached.undecided == uncached.undecided
-            assert cached.comparisons_run <= uncached.comparisons_run
+        for _ in range(12):
+            net = random_net(rng, rng.randint(3, 5), (2, 3))
+            pool = rng.sample(all_outcomes(net), 6)  # 12 rows over 6 outcomes repeat some
+            catalog = [CatalogRow(f"r{i:02d}", rng.choice(pool)) for i in range(12)]
+            by_id = {row.identifier: row.outcome for row in catalog}
+            closure = oracle_closure(net)
+            beaten = {i for i, o in by_id.items() if any(a in closure[o] for a in by_id.values())}
+
+            report = pareto_front(net, catalog)
+            assert sorted(report.nondominated) == sorted(set(by_id) - beaten)
+            assert {loser for loser, _ in report.dominated} == beaten
+            for loser, winner in report.dominated:
+                assert by_id[winner] in closure[by_id[loser]]
+            assert report.undecided == []
+            u = len(set(by_id.values()))
+            assert report.comparisons_run <= u * (u - 1) // 2
+
+            depth: dict = {}
+
+            def chain_above(o):
+                if o not in depth:
+                    above = [a for a in set(by_id.values()) if a in closure[o]]
+                    depth[o] = max((chain_above(a) + 1 for a in above), default=0)
+                return depth[o]
+
+            layers = sort_catalog(net, catalog)
+            for k, layer in enumerate(layers):
+                assert layer and all(chain_above(by_id[i]) == k for i in layer)
+            assert sorted(i for layer in layers for i in layer) == sorted(by_id)
 
 
 class TestSortCatalog:

@@ -15,6 +15,7 @@ from cpnet import (
     FlipSequence,
     Outcome,
     SearchConfig,
+    all_outcomes,
     apply_flip,
     dominates,
     extend_suffix,
@@ -27,6 +28,7 @@ from cpnet import (
     validate,
     verify_witness,
 )
+from cpnet.search import _core
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -242,6 +244,28 @@ class TestVerifyWitness:
     def test_empty_sequence_rejected(self, chain3):
         z = outcome(chain3, "A=a,B=b,C=c")
         assert not verify_witness(chain3, z, z, FlipSequence(z, ()))
+
+    def test_value_outside_domain_is_an_input_error(self, chain2):
+        x = outcome(chain2, "A=a,B=b")
+        y = Outcome(("zz", "b"))
+        seq = FlipSequence(y, (Flip("A", "zz", "a", "improving"),))
+        with pytest.raises(CPNetError):
+            verify_witness(chain2, x, y, seq)
+        with pytest.raises(CPNetError):
+            verify_witness(chain2, y, x, seq)
+
+
+class TestRank:
+    def test_improving_flips_raise_the_rank(self):
+        rng = random.Random(93)
+        for _ in range(30):
+            net = random_net(rng, rng.randint(2, 6), (2, 3), 3)
+            core = _core(net)
+            for z in all_outcomes(net):
+                rank = core.rank(core.encode(z.values))
+                for flip in legal_flips(net, z, "improving"):
+                    better = apply_flip(net, z, flip)
+                    assert core.rank(core.encode(better.values)) >= rank + 1
 
 
 class TestHeuristicNecessity:
