@@ -5,9 +5,11 @@ never dominate each other).  Both entry points read one pass over the unique
 outcomes in descending rank (Laing, Thwaites & Gosling, JAIR 2019).  Every
 improving flip raises the rank, so an outcome can only be dominated by one
 visited before it, and two outcomes of equal rank are incomparable.  Each
-outcome is tested against the higher-ranked ones, deepest layer first, by one
-search per pair in one direction ("does a dominate b?"); the first that
-dominates it is its winner and places it one layer below the winner's.
+outcome is tested against higher-ranked ones by one search per pair in one
+direction ("does a dominate b?"); the first that dominates it is its winner
+and places it one layer below the winner's.  The front tests layer 0 only,
+since by transitivity every dominated outcome has a dominator there; the sort
+tests every layer, deepest first, so the first winner is the deepest one.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def _group_rows(rows: list[CatalogRow]) -> tuple[list[Outcome], dict[Outcome, li
     return order, members
 
 
-def _layers(net: CPNet, unique: list[Outcome], cfg: SearchConfig) -> _Pass:
-    """The rank-ordered dominance pass; ties in rank keep first appearance."""
+def _layers(net: CPNet, unique: list[Outcome], cfg: SearchConfig, front_only: bool) -> _Pass:
+    """The rank-ordered dominance pass; ties in rank keep first appearance.
+    With ``front_only`` only layer 0 is scanned, giving at most two layers."""
     net._require_valid()
     core = _core(net)
     rank: dict[Outcome, int] = {}
@@ -59,7 +62,8 @@ def _layers(net: CPNet, unique: list[Outcome], cfg: SearchConfig) -> _Pass:
     layer: dict[Outcome, int] = {}
     for b in sorted(unique, key=rank.__getitem__, reverse=True):
         layer[b] = 0
-        for a in (a for tier in reversed(found.tiers) for a in tier if rank[a] > rank[b]):
+        scan = found.tiers[:1] if front_only else found.tiers
+        for a in (a for tier in reversed(scan) for a in tier if rank[a] > rank[b]):
             kind = dominates(net, a, b, cfg).kind
             found.searches += 1
             if kind == DOMINATES:
@@ -84,7 +88,7 @@ def pareto_front(
     pairs undecided rather than guessing.
     """
     unique, members = _group_rows(rows)
-    found = _layers(net, unique, cfg or SearchConfig())
+    found = _layers(net, unique, cfg or SearchConfig(), front_only=True)
     winner = found.winner
     # A loser settled elsewhere no longer leaves a pair open.
     open_pairs = [(a, b) for a, b in found.cut if a not in winner and b not in winner]
@@ -117,5 +121,5 @@ def sort_catalog(
     Comparisons the budget cut off are treated as non-dominating.
     """
     unique, members = _group_rows(rows)
-    tiers = _layers(net, unique, cfg or SearchConfig()).tiers
+    tiers = _layers(net, unique, cfg or SearchConfig(), front_only=False).tiers
     return [sorted(i for o in tier for i in members[o]) for tier in tiers]

@@ -235,10 +235,6 @@ def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> boo
 
 
 def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bool:
-    try:
-        net.check_outcome(seq.start)
-    except CPNetError:
-        return False
     values = seq.start.values
     seen = {values}
     for flip in seq.flips:

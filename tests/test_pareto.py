@@ -110,13 +110,13 @@ class TestParetoFront:
     def test_settled_loser_leaves_no_open_pair(self, indep3):
         rows = _rows(
             indep3,
-            ("p", "A=a,B=bbar,C=c"),
             ("q", "A=a,B=b,C=c"),
+            ("p", "A=a,B=bbar,C=cbar"),
             ("r", "A=abar,B=bbar,C=cbar"),
         )
         report = pareto_front(indep3, rows, SearchConfig(budget=3))
-        assert report.dominated == [("p", "q")]
-        assert report.undecided == [("q", "r")]  # p vs r also ran out of budget
+        assert report.dominated == [("r", "p")]
+        assert report.undecided == [("p", "q")]  # q vs r also ran out of budget
         assert report.nondominated == []
 
     def test_pass_matches_the_oracle(self):
@@ -136,7 +136,9 @@ class TestParetoFront:
                 assert by_id[winner] in closure[by_id[loser]]
             assert report.undecided == []
             u = len(set(by_id.values()))
-            assert report.comparisons_run <= u * (u - 1) // 2
+            f = len({by_id[i] for i in report.nondominated})
+            # each search pits a front outcome against a lower-ranked one
+            assert report.comparisons_run <= f * (u - 1) - f * (f - 1) // 2
 
             depth: dict = {}
 
