@@ -146,7 +146,8 @@ def _cmd_dominates(args: argparse.Namespace) -> int:
         print(
             f"expansions={verdict.stats.expansions} "
             f"backtracks={verdict.stats.backtracks} "
-            f"direction={verdict.stats.direction_decided}"
+            f"direction={verdict.stats.direction_decided} "
+            f"decided_by={verdict.stats.decided_by}"
         )
     return code
 

@@ -50,9 +50,19 @@ class PlanningProblem:
     goal: frozenset[Proposition]
 
 
-def _operator_name(variable: str, from_value: str, to_value: str, condition: str) -> str:
-    base = f"{variable}_{from_value}_to_{to_value}"
-    return f"{base}__{condition}" if condition else base
+def _operator_name(
+    variable: str, from_value: str, to_value: str, context: tuple[Proposition, ...]
+) -> str:
+    """``flip-VAR-FROM-to-TO``, then ``-if`` and ``-PARENT-value`` per parent.
+
+    Names and values never contain ``-``, so the words sit at fixed places and
+    the name is injective; it starts with a letter and is a valid PDDL symbol.
+    """
+    words = ["flip", variable, from_value, "to", to_value]
+    if context:
+        words.append("if")
+        words.extend(word for binding in context for word in binding)
+    return "-".join(words)
 
 
 def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
@@ -67,8 +77,7 @@ def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
     operators: list[StripsOperator] = []
     for v in net.variables:
         for cond, ranking in net.tables[v.name].items():
-            condition = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
-            context = frozenset(zip(v.parents, cond))
+            context = tuple(zip(v.parents, cond))
             for better, worse in zip(ranking, ranking[1:]):
                 if direction == IMPROVING:
                     frm, to = worse, better
@@ -76,8 +85,8 @@ def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
                     frm, to = better, worse
                 operators.append(
                     StripsOperator(
-                        name=_operator_name(v.name, frm, to, condition),
-                        preconditions=context | {(v.name, frm)},
+                        name=_operator_name(v.name, frm, to, context),
+                        preconditions=frozenset(context) | {(v.name, frm)},
                         add=(v.name, to),
                         delete=(v.name, frm),
                     )
@@ -125,10 +134,6 @@ def export_planning_problem(
     )
 
 
-def _pddl_symbol(name: str) -> str:
-    return name.replace("=", "-").replace(",", "_")
-
-
 def render_planning_problem(
     problem: PlanningProblem,
     domain_name: str = "cpnet-flips",
@@ -137,7 +142,7 @@ def render_planning_problem(
     """Byte-deterministic text: one domain document, then one problem document.
 
     Flat ``(holds VAR value)`` propositions; operators are ground actions
-    sorted by name (sanitized for PDDL: '=' -> '-', ',' -> '_').
+    sorted by name, and the names are PDDL symbols as they are.
     """
 
     def holds(prop: Proposition) -> str:
@@ -150,7 +155,7 @@ def render_planning_problem(
     ]
     for op in problem.operators:
         pre = " ".join(holds(p) for p in sorted(op.preconditions))
-        lines.append(f"  (:action {_pddl_symbol(op.name)}")
+        lines.append(f"  (:action {op.name}")
         lines.append(f"    :precondition (and {pre})")
         lines.append(f"    :effect (and {holds(op.add)} (not {holds(op.delete)})))")
     lines.append(")")

@@ -8,17 +8,19 @@ worse-side value; an empty survivor set refutes the query outright, before any
 search runs.  Arcs point from more preferred to less preferred, so walks trace
 worsening trajectories.
 
-Reachability uses plain breadth-first traversal: the arcs are unweighted, so
-shortest-path machinery would buy nothing.
+The sweep itself runs on the compiled core of the search engine
+(``_Core.prune``, survivor sets as value bitmasks), which ``dominates`` also
+uses as a pre-check; ``forward_prune`` turns its masks back into names, and
+``value_graph`` shows one variable's graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .model import CPNet, Outcome
+from .search import _core
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -81,18 +83,6 @@ def value_graph(
     return ValueGraph(variable, var.domain, tuple(arcs))
 
 
-def _reachable(start: str, edges: Mapping[str, list[str]]) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in edges.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
     """Sweep the net in topological order, keeping for every variable only the
     values on some directed walk from x's value to y's value in its value
@@ -103,19 +93,13 @@ def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
     net._require_valid()
     net.check_outcome(x)
     net.check_outcome(y)
-    surviving: dict[str, tuple[str, ...]] = {}
-    for name in net._topo:
-        i = net.index(name)
-        graph = value_graph(net, name, x, y, surviving)
-        forward: dict[str, list[str]] = {}
-        backward: dict[str, list[str]] = {}
-        for a, b in graph.arcs:
-            forward.setdefault(a, []).append(b)
-            backward.setdefault(b, []).append(a)
-        from_x = _reachable(x.values[i], forward)
-        to_y = _reachable(y.values[i], backward)
-        keep = tuple(v for v in graph.nodes if v in from_x and v in to_y)
-        if not keep:
-            return PruneResult(INFEASIBLE, surviving, failed_variable=name)
-        surviving[name] = keep
+    core = _core(net)
+    masks = core.prune(core.encode(x.values), core.encode(y.values))
+    surviving = {
+        core.names[p]: tuple(value for k, value in enumerate(core.domains[p]) if mask >> k & 1)
+        for p, mask in enumerate(masks)
+        if mask
+    }
+    if masks and not masks[-1]:
+        return PruneResult(INFEASIBLE, surviving, failed_variable=core.names[len(masks) - 1])
     return PruneResult(FEASIBLE, surviving)

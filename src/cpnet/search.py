@@ -15,11 +15,20 @@ Completeness-preserving machinery:
                      first (a least-commitment order);
 * least improving  - among targets of one variable, the smallest step first.
 
+Before any search, two sound refutations may answer a negative query in
+time linear in the net (``SearchConfig.precheck``): the rank of Laing,
+Thwaites & Gosling (JAIR 2019), which every improving flip raises, so
+``rank(x) <= rank(y)`` refutes x > y; and the forward pruning of Boutilier
+et al. (JAIR 2004), which refutes it when some variable has no value on a
+worsening walk from x's value to y's.  ``SearchStats.decided_by`` names the
+stage that answered.
+
 On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
 search on chains and trees of binary variables then proceeds without
 backtracking, and the brute-force oracle in this module is the reference
-that the test suite checks this against.
+that the test suite checks this against.  Such a search is linear, so the
+pre-check is skipped there.
 
 A validated net is frozen, and the first query compiles it into an integer
 core (``_Core``) that is cached on the net and shared read-only by concurrent
@@ -67,6 +76,7 @@ class SearchConfig:
     visited_dedup: bool = True
     budget: int | None = None
     want_witness: bool = True
+    precheck: bool = True  # rank and forward-prune refutations before search
 
     def __post_init__(self) -> None:
         if self.direction not in (IMPROVING, WORSENING, BIDIRECTIONAL):
@@ -80,14 +90,17 @@ class SearchStats:
     expansions: int = 0
     backtracks: int = 0
     direction_decided: str = "none"
+    decided_by: str = "none"  # equal, rank, prune, search or budget
 
 
 @dataclass
 class Verdict:
     """Result of a dominance query.
 
-    ``not_dominated`` is only ever produced by an exhaustive search; running
-    out of budget yields ``budget_exhausted`` instead.
+    ``not_dominated`` comes from equal outcomes, from the rank or prune
+    pre-check (0 expansions), or from an exhaustive search;
+    ``stats.decided_by`` says which.  Running out of budget yields
+    ``budget_exhausted`` instead.
     """
 
     kind: str
@@ -264,8 +277,9 @@ class _Core:
     domain, a set of variables an int bitmask over positions.  ``up[p]`` and
     ``down[p]`` are flat tables indexed by ``row + value``, where ``row`` is
     the mixed-radix parent index times the domain size; an entry holds the
-    improving (worsening) flips ``(p, target)`` in least-improving order.
-    ``rank`` reads the same tables; the catalog pass orders outcomes by it.
+    improving (worsening) flips ``(p, target)`` in least-improving order, so
+    its first entry is the adjacent value of the row's ranking.  ``rank`` and
+    ``prune`` read the same tables; the catalog pass orders outcomes by rank.
     """
 
     def __init__(self, net: CPNet):
@@ -280,13 +294,17 @@ class _Core:
         self.single_parent_binary = all(
             len(v.domain) == 2 and len(v.parents) <= 1 for v in variables
         )
-        # fanout[q]: (child, weight of q's value in the child's row) pairs
+        # fanout[q]: (child, weight of q's value in the child's row) pairs;
+        # fanin[p]: the same pairs seen from the child, (parent, weight)
         fanout: list[list[tuple[int, int]]] = [[] for _ in variables]
+        fanin: list[list[tuple[int, int]]] = [[] for _ in variables]
         up, down, anc = [], [], []  # anc: ancestors-or-self masks
+        arcs = []  # the prune's arcs with every row consistent
         for p, v in enumerate(variables):
             weight, mask = len(v.domain), 1 << p
             for q in reversed(parents[p]):
                 fanout[q].append((p, weight))
+                fanin[p].append((q, weight))
                 weight *= len(self.domains[q])
                 mask |= anc[q]
             anc.append(mask)
@@ -300,9 +318,13 @@ class _Core:
                     worse.append(tuple(flip_to[t] for t in ranking[r + 1:]))
             up.append(tuple(better))
             down.append(tuple(worse))
+            size = len(v.domain)
+            arcs.append(_arcs(down[p], range(0, len(worse), size), size))
         self.up = tuple(up)
         self.down = tuple(down)
         self.fanout = tuple(tuple(f) for f in fanout)
+        self.fanin = tuple(tuple(f) for f in fanin)
+        self.arcs = tuple(arcs)
         self.touched = tuple((q,) + tuple(c for c, _ in f) for q, f in enumerate(self.fanout))
         self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
@@ -339,9 +361,62 @@ class _Core:
             )
         )
 
+    def prune(self, better: list[int], worse: list[int]) -> list[int]:
+        """The forward pruning of Boutilier et al. (JAIR 2004).  Parents
+        first, each variable keeps the values on some walk from its value in
+        ``better`` to its value in ``worse`` along the arcs of the rows whose
+        parent values all survive; an arc joins a value to the one just below
+        it in a row.  Returns the survivor bitmasks in topological order,
+        ending at the first empty one, which refutes better > worse."""
+        masks: list[int] = []
+        partial = 0  # variables that lost a value
+        for p, fanin in enumerate(self.fanin):
+            size = len(self.domains[p])
+            if partial & self.parent_mask[p]:
+                rows = [0]
+                for q, weight in fanin:
+                    values = [v * weight for v in range(len(self.domains[q])) if masks[q] >> v & 1]
+                    rows = [row + offset for row in rows for offset in values]
+                below, above = _arcs(self.down[p], rows, size)
+            else:
+                below, above = self.arcs[p]
+            keep = _walk(below, better[p]) & _walk(above, worse[p])
+            masks.append(keep)
+            if not keep:
+                break
+            if keep != (1 << size) - 1:
+                partial |= 1 << p
+        return masks
+
     def flip(self, p: int, old: int, new: int, direction: str) -> Flip:
         domain = self.domains[p]
         return Flip(self.names[p], domain[old], domain[new], direction)
+
+
+def _arcs(down: tuple, rows, size: int) -> tuple[list[int], list[int]]:
+    """Per value, the values just below it (``below``) and just above it
+    (``above``) in the rankings of the given rows of a ``down`` table."""
+    below, above = [0] * size, [0] * size
+    for row in rows:
+        for value in range(size):
+            worse = down[row + value]
+            if worse:
+                target = worse[0][1]
+                below[value] |= 1 << target
+                above[target] |= 1 << value
+    return below, above
+
+
+def _walk(arcs: list[int], start: int) -> int:
+    """The bitmask of values that ``arcs`` reach from ``start``, itself included."""
+    seen = pending = 1 << start
+    while pending:
+        value = pending.bit_length() - 1
+        pending ^= 1 << value
+        new = arcs[value] & ~seen
+        seen |= new
+        pending |= new
+    return seen
 
 
 def _core(net: CPNet) -> _Core:
@@ -547,7 +622,8 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     Improving search walks from y toward x, worsening from x toward y, and
     bidirectional mode alternates one expansion per side, concluding as soon
     as either side finishes or the frontiers meet (meeting at z gives
-    x > z > y, hence x > y; the witnesses are spliced at z).
+    x > z > y, hence x > y; the witnesses are spliced at z).  Unless the
+    search is committed, the rank and forward-prune pre-checks run first.
     """
     net._require_valid()
     net.check_outcome(x)
@@ -556,6 +632,7 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
 
     stats = SearchStats()
     if x == y:
+        stats.decided_by = "equal"
         return Verdict(NOT_DOMINATED, stats=stats)
 
     core = _core(net)
@@ -565,6 +642,13 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     # keeps a single child and chains/trees search backtrack-free.
     committed = cfg.rightmost and cfg.suffix_fixing and cfg.suffix_extension
     committed = committed and core.single_parent_binary
+    if cfg.precheck and not committed:
+        if core.rank(xs) <= core.rank(ys):
+            stats.decided_by = "rank"
+            return Verdict(NOT_DOMINATED, stats=stats)
+        if not core.prune(xs, ys)[-1]:
+            stats.decided_by = "prune"
+            return Verdict(NOT_DOMINATED, stats=stats)
 
     searchers: list[_Searcher] = []
     if cfg.direction in (IMPROVING, BIDIRECTIONAL):
@@ -577,6 +661,7 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
         stats.expansions = sum(s.expansions for s in searchers)
         stats.backtracks = sum(s.backtracks for s in searchers)
         stats.direction_decided = decided
+        stats.decided_by = "budget" if decided == "none" else "search"
         return stats
 
     def build_witness(side: _Searcher) -> FlipSequence | None:

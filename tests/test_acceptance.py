@@ -201,39 +201,52 @@ def test_criterion_1_example_regression():
 # -- criterion 2: oracle equivalence ------------------------------------------
 
 
+def _oracle_configs():
+    """Every heuristic combination with the pre-check off, so negatives are
+    searched exhaustively, then the pre-check on with the default heuristics
+    (committed on binary single-parent nets, so no pre-check there) and with
+    rightmost off (never committed)."""
+    for flags in itertools.product([False, True], repeat=5):
+        suffix_fixing, suffix_extension, rightmost, least_improving, dedup = flags
+        for direction in ALL_DIRECTIONS:
+            yield SearchConfig(
+                direction=direction,
+                suffix_fixing=suffix_fixing,
+                suffix_extension=suffix_extension,
+                rightmost=rightmost,
+                least_improving=least_improving,
+                visited_dedup=dedup,
+                want_witness=False,
+                precheck=False,
+            )
+    for rightmost in (True, False):
+        for direction in ALL_DIRECTIONS:
+            yield SearchConfig(direction=direction, rightmost=rightmost, want_witness=False)
+
+
 def test_criterion_2_oracle_equivalence(instance_set):
     started = time.monotonic()
-    combos = list(itertools.product([False, True], repeat=5))
+    configs = list(_oracle_configs())
     queries = 0
     for net, closure, pairs in instance_set:
-        for suffix_fixing, suffix_extension, rightmost, least_improving, dedup in combos:
-            for direction in ALL_DIRECTIONS:
-                cfg = SearchConfig(
-                    direction=direction,
-                    suffix_fixing=suffix_fixing,
-                    suffix_extension=suffix_extension,
-                    rightmost=rightmost,
-                    least_improving=least_improving,
-                    visited_dedup=dedup,
-                    want_witness=False,
+        for cfg in configs:
+            for x, y in pairs:
+                verdict = dominates(net, x, y, cfg)
+                assert verdict.kind in (DOMINATES, NOT_DOMINATED)
+                assert (verdict.kind == DOMINATES) == (x in closure[y]), (
+                    net.names,
+                    x.values,
+                    y.values,
+                    cfg,
                 )
-                for x, y in pairs:
-                    verdict = dominates(net, x, y, cfg)
-                    assert verdict.kind in (DOMINATES, NOT_DOMINATED)
-                    assert (verdict.kind == DOMINATES) == (x in closure[y]), (
-                        net.names,
-                        x.values,
-                        y.values,
-                        direction,
-                        (suffix_fixing, suffix_extension, rightmost, least_improving, dedup),
-                    )
-                    queries += 1
+                queries += 1
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"oracle equivalence took {elapsed:.1f}s"
     _passed(
         2,
-        f"{queries} queries over {len(instance_set)} nets x 32 configs x 3 "
-        f"directions matched the oracle in {elapsed:.1f}s",
+        f"{queries} queries over {len(instance_set)} nets x {len(configs)} configurations "
+        f"(32 heuristic combinations x 3 directions without the pre-check, 2 x 3 with it) "
+        f"matched the oracle in {elapsed:.1f}s",
     )
 
 

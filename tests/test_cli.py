@@ -90,6 +90,22 @@ class TestDominates:
         assert lines[2] == "C: c -> cbar  [rule: B=b]"
         assert lines[3].startswith("expansions=")
         assert "direction=worsening" in lines[3]
+        assert lines[3].endswith("decided_by=search")
+
+    def test_stats_name_the_prune_refutation(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "dominates",
+            str(FIXTURES / "polytree8.cpnet"),
+            "--better", "A=a,B=b,C=c,D=d,E=ebar,F=f,G=g,H=h",
+            "--worse", "A=a,B=b,C=c,D=d,E=e,F=f,G=gbar,H=h",
+            "--stats",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "not-dominated",
+            "expansions=0 backtracks=0 direction=none decided_by=prune",
+        ]
 
     def test_negative(self, capsys, chain3_path):
         code, out, _ = run(

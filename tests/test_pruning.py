@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 from cpnet import (
     NOT_DOMINATED,
@@ -13,6 +14,7 @@ from cpnet import (
     value_graph,
 )
 from cpnet.model import CPNet, Outcome, validate
+from cpnet.search import _core
 from helpers import all_pairs, make_net, outcome, random_net
 
 
@@ -85,6 +87,50 @@ class TestForwardPrune:
         assert forward_prune(chain3, x, y).feasible
 
 
+def _walks_through(graph, start, goal):
+    """Values on some directed walk from ``start`` to ``goal`` in ``graph``."""
+
+    def reach(node, arcs):
+        seen, todo = {node}, [node]
+        while todo:
+            for nxt in arcs.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    forward, backward = {}, {}
+    for a, b in graph.arcs:
+        forward.setdefault(a, []).append(b)
+        backward.setdefault(b, []).append(a)
+    both = reach(start, forward) & reach(goal, backward)
+    return tuple(v for v in graph.nodes if v in both)
+
+
+class TestSweepMatchesValueGraphs:
+    def test_compiled_sweep_equals_the_value_graph_sweep(self):
+        rng = random.Random(81)
+        for _ in range(60):
+            net = random_net(
+                rng, rng.randint(2, 5), domain_sizes=(2, 3, 4), max_parents=rng.randint(1, 3)
+            )
+            pairs = all_pairs(net)
+            for x, y in rng.sample(pairs, min(40, len(pairs))):
+                surviving, failed = {}, None
+                for name in _core(net).names:  # topological order
+                    i = net.index(name)
+                    graph = value_graph(net, name, x, y, surviving)
+                    keep = _walks_through(graph, x.values[i], y.values[i])
+                    if not keep:
+                        failed = name
+                        break
+                    surviving[name] = keep
+                result = forward_prune(net, x, y)
+                assert (result.failed_variable, result.pruned_domains) == (failed, surviving)
+                assert list(result.pruned_domains) == list(surviving)
+                assert result.feasible == (failed is None)
+
+
 def _iter_sequences(adjacency, start, goal):
     """All improving paths start -> goal (the flip DAG has no cycles)."""
     stack = [(start, [start])]
@@ -146,7 +192,8 @@ class TestSoundness:
             for x, y in all_pairs(net):
                 if not forward_prune(net, x, y).feasible:
                     checked += 1
-                    assert dominates(net, x, y).kind == NOT_DOMINATED
+                    verdict = dominates(net, x, y, SearchConfig(precheck=False))
+                    assert verdict.kind == NOT_DOMINATED
         assert checked > 50
 
     def test_result_is_direction_independent(self):
@@ -158,8 +205,9 @@ class TestSoundness:
             net = random_net(rng, rng.randint(2, 3))
             for x, y in all_pairs(net)[:20]:
                 result = forward_prune(net, x, y)
-                improving = dominates(net, x, y, SearchConfig(direction="improving"))
-                worsening = dominates(net, x, y, SearchConfig(direction="worsening"))
+                searched = SearchConfig(precheck=False)
+                improving = dominates(net, x, y, replace(searched, direction="improving"))
+                worsening = dominates(net, x, y, replace(searched, direction="worsening"))
                 assert improving.kind == worsening.kind
                 if not result.feasible:
                     assert improving.kind == NOT_DOMINATED

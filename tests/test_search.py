@@ -420,13 +420,61 @@ class TestOracleEquivalenceSmoke:
                 assert not (forward and backward)
 
 
+class TestDecidedBy:
+    def test_equal_outcomes(self, chain3):
+        z = outcome(chain3, "A=a,B=b,C=c")
+        verdict = dominates(chain3, z, z)
+        assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "equal")
+
+    def test_rank_refutes_before_search(self, polytree8):
+        x = outcome(polytree8, "A=a,B=bbar,C=c,D=d,E=e,F=f,G=g,H=h")
+        y = outcome(polytree8, "A=abar,B=b,C=c,D=d,E=e,F=f,G=g,H=h")
+        core = _core(polytree8)
+        assert core.rank(core.encode(x.values)) <= core.rank(core.encode(y.values))
+        verdict = dominates(polytree8, x, y)
+        assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "rank")
+        assert verdict.stats.expansions == 0
+        searched = dominates(polytree8, x, y, SearchConfig(precheck=False))
+        assert (searched.kind, searched.stats.decided_by) == (NOT_DOMINATED, "search")
+        assert searched.stats.expansions > 0
+
+    def test_prune_refutes_what_rank_does_not(self, polytree8):
+        x = outcome(polytree8, "A=a,B=b,C=c,D=d,E=ebar,F=f,G=g,H=h")
+        y = outcome(polytree8, "A=a,B=b,C=c,D=d,E=e,F=f,G=gbar,H=h")
+        core = _core(polytree8)
+        assert core.rank(core.encode(x.values)) > core.rank(core.encode(y.values))
+        verdict = dominates(polytree8, x, y)
+        assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "prune")
+        assert (verdict.stats.expansions, verdict.stats.direction_decided) == (0, "none")
+        assert not oracle_dominates(polytree8, x, y)
+
+    def test_committed_chain_negative_still_searches(self, chain3):
+        x = outcome(chain3, "A=a,B=bbar,C=c")
+        y = outcome(chain3, "A=abar,B=bbar,C=cbar")
+        verdict = dominates(chain3, x, y)
+        assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "search")
+        assert verdict.stats.expansions > 0
+        # without rightmost the search is no longer committed, so rank answers
+        uncommitted = dominates(chain3, x, y, SearchConfig(rightmost=False))
+        assert uncommitted.stats.decided_by == "rank"
+
+    def test_search_and_budget(self, chain3):
+        x = outcome(chain3, "A=a,B=b,C=c")
+        y = outcome(chain3, "A=abar,B=bbar,C=cbar")
+        assert dominates(chain3, x, y).stats.decided_by == "search"
+        verdict = dominates(chain3, x, y, SearchConfig(budget=1))
+        assert (verdict.kind, verdict.stats.decided_by) == (BUDGET_EXHAUSTED, "budget")
+
+
 # -- pinned behaviour ----------------------------------------------------------
 #
 # (kind, expansions, backtracks, direction_decided, witness) for a fixed set
 # of queries; witness is (flip count, first 16 hex digits of a SHA-256 over
 # the start values and every flip), or None.  Recorded from the string-based
 # engine that the compiled integer core replaced, so the search itself, not
-# only its verdicts, is held fixed.
+# only its verdicts, is held fixed.  They are replayed with the pre-check off,
+# which is that unchanged search path; with it on, only negatives may change,
+# and only to an answer found before any search.
 
 PINNED = [
     ("not_dominated", 7, 0, "improving", None),
@@ -516,7 +564,8 @@ def _pinned_queries():
         net = nets[k % len(nets)]
         cfg, direction = combos[(k * 5) % len(combos)]
         x, y = _pinned_pair(rng, net)
-        queries.append((net, x, y, replace(cfg, direction=direction, budget=2000)))
+        cfg = replace(cfg, direction=direction, budget=2000, precheck=False)
+        queries.append((net, x, y, cfg))
     return queries
 
 
@@ -532,5 +581,17 @@ def _fingerprint(verdict):
 
 
 def test_pinned_search_behaviour():
-    got = [_fingerprint(dominates(net, x, y, cfg)) for net, x, y, cfg in _pinned_queries()]
+    queries = _pinned_queries()
+    got = [_fingerprint(dominates(net, x, y, cfg)) for net, x, y, cfg in queries]
     assert got == PINNED
+    refuted = 0
+    for (net, x, y, cfg), pinned in zip(queries, PINNED):
+        verdict = dominates(net, x, y, replace(cfg, precheck=True))
+        if pinned[0] == DOMINATES:
+            assert _fingerprint(verdict) == pinned
+            assert verdict.stats.decided_by == "search"
+        elif _fingerprint(verdict) != pinned:
+            assert (verdict.kind, verdict.stats.expansions) == (NOT_DOMINATED, 0)
+            assert verdict.stats.decided_by in ("rank", "prune")
+            refuted += 1
+    assert refuted > 0
