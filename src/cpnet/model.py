@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -193,6 +194,16 @@ def _kahn(variables: Sequence[Variable]) -> tuple[list[int], list[str] | None]:
     return order, [variables[i].name for i in walk[walk.index(node):] + [node]]
 
 
+# The DSL's names and outcome values: no '-', so words joined by '-' (STRIPS
+# operator names) stay unambiguous on nets built through the API too.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VALUE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _matches(pattern: re.Pattern[str], word: object) -> bool:
+    return isinstance(word, str) and pattern.fullmatch(word) is not None
+
+
 def validate(net: CPNet) -> ValidationReport:
     """Check every net invariant; diagnostics are the result, not failures.
 
@@ -211,6 +222,11 @@ def validate(net: CPNet) -> ValidationReport:
         if v.name in seen_names:
             problems.append(f"duplicate variable {v.name}")
         seen_names.add(v.name)
+        if not _matches(_NAME, v.name):
+            problems.append(f"variable name {v.name!r} is not an identifier")
+        for value in v.domain:
+            if not _matches(_VALUE, value):
+                problems.append(f"value {value!r} of variable {v.name} is not a word")
         if len(v.domain) < 2:
             problems.append(f"variable {v.name} needs at least 2 domain values")
         if len(set(v.domain)) != len(v.domain):

@@ -55,8 +55,9 @@ def _operator_name(
 ) -> str:
     """``flip-VAR-FROM-to-TO``, then ``-if`` and ``-PARENT-value`` per parent.
 
-    Names and values never contain ``-``, so the words sit at fixed places and
-    the name is injective; it starts with a letter and is a valid PDDL symbol.
+    ``validate`` admits no ``-`` in names and values, so the words sit at fixed
+    places and the name is injective; it starts with a letter and is a valid
+    PDDL symbol.
     """
     words = ["flip", variable, from_value, "to", to_value]
     if context:

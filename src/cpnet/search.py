@@ -16,12 +16,11 @@ Completeness-preserving machinery:
 * least improving  - among targets of one variable, the smallest step first.
 
 Before any search, two sound refutations may answer a negative query in
-time linear in the net (``SearchConfig.precheck``): the rank of Laing,
-Thwaites & Gosling (JAIR 2019), which every improving flip raises, so
-``rank(x) <= rank(y)`` refutes x > y; and the forward pruning of Boutilier
-et al. (JAIR 2004), which refutes it when some variable has no value on a
-worsening walk from x's value to y's.  ``SearchStats.decided_by`` names the
-stage that answered.
+time linear in the net: the rank of Laing, Thwaites & Gosling (JAIR 2019),
+which every improving flip raises, so ``rank(x) <= rank(y)`` refutes x > y;
+and the forward pruning of Boutilier et al. (JAIR 2004), which refutes it
+when some variable has no value on a worsening walk from x's value to y's.
+``SearchStats.decided_by`` names the stage that answered.
 
 On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
@@ -76,7 +75,6 @@ class SearchConfig:
     visited_dedup: bool = True
     budget: int | None = None
     want_witness: bool = True
-    precheck: bool = True  # rank and forward-prune refutations before search
 
     def __post_init__(self) -> None:
         if self.direction not in (IMPROVING, WORSENING, BIDIRECTIONAL):
@@ -616,6 +614,22 @@ def _searcher(net: CPNet, z: Outcome, x: Outcome, direction: str, cfg: SearchCon
     return _Searcher(core, core.encode(z.values), core.encode(x.values), direction, cfg)
 
 
+def _prepare(
+    net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig
+) -> tuple[_Core, list[int], list[int], bool]:
+    """The compiled core, both outcomes encoded, and whether search commits."""
+    net._require_valid()
+    net.check_outcome(x)
+    net.check_outcome(y)
+    core = _core(net)
+    # On binary nets where no variable has two parents, the first-ordered
+    # move under the full rule set never needs reconsidering, so each node
+    # keeps a single child and chains/trees search backtrack-free.
+    committed = cfg.rightmost and cfg.suffix_fixing and cfg.suffix_extension
+    committed = committed and core.single_parent_binary
+    return core, core.encode(x.values), core.encode(y.values), committed
+
+
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
     """Decide whether the net entails x > y.
 
@@ -625,30 +639,40 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     x > z > y, hence x > y; the witnesses are spliced at z).  Unless the
     search is committed, the rank and forward-prune pre-checks run first.
     """
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
     cfg = cfg or SearchConfig()
+    core, xs, ys, committed = _prepare(net, x, y, cfg)
+    if x != y and not committed:
+        stats = SearchStats()
+        if core.rank(xs) <= core.rank(ys):
+            stats.decided_by = "rank"
+        elif not core.prune(xs, ys)[-1]:
+            stats.decided_by = "prune"
+        if stats.decided_by != "none":
+            return Verdict(NOT_DOMINATED, stats=stats)
+    return _flip_search(core, x, y, xs, ys, cfg, committed)
 
+
+def _search(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig) -> Verdict:
+    """``dominates`` without the pre-check, so every negative is searched
+    exhaustively; the oracle sweep checks the search itself through this."""
+    core, xs, ys, committed = _prepare(net, x, y, cfg)
+    return _flip_search(core, x, y, xs, ys, cfg, committed)
+
+
+def _flip_search(
+    core: _Core,
+    x: Outcome,
+    y: Outcome,
+    xs: list[int],
+    ys: list[int],
+    cfg: SearchConfig,
+    committed: bool,
+) -> Verdict:
+    """The flip search proper, from the encoded outcomes."""
     stats = SearchStats()
     if x == y:
         stats.decided_by = "equal"
         return Verdict(NOT_DOMINATED, stats=stats)
-
-    core = _core(net)
-    xs, ys = core.encode(x.values), core.encode(y.values)
-    # On binary nets where no variable has two parents, the first-ordered
-    # move under the full rule set never needs reconsidering, so each node
-    # keeps a single child and chains/trees search backtrack-free.
-    committed = cfg.rightmost and cfg.suffix_fixing and cfg.suffix_extension
-    committed = committed and core.single_parent_binary
-    if cfg.precheck and not committed:
-        if core.rank(xs) <= core.rank(ys):
-            stats.decided_by = "rank"
-            return Verdict(NOT_DOMINATED, stats=stats)
-        if not core.prune(xs, ys)[-1]:
-            stats.decided_by = "prune"
-            return Verdict(NOT_DOMINATED, stats=stats)
 
     searchers: list[_Searcher] = []
     if cfg.direction in (IMPROVING, BIDIRECTIONAL):

@@ -33,6 +33,7 @@ from cpnet import (
     verify_witness,
     worst_outcome,
 )
+from cpnet.search import _search
 from helpers import all_pairs, load_net, outcome, random_chain, random_net, random_tree
 from test_dsl import FIXTURE_NAMES, MALFORMED
 
@@ -202,14 +203,14 @@ def test_criterion_1_example_regression():
 
 
 def _oracle_configs():
-    """Every heuristic combination with the pre-check off, so negatives are
-    searched exhaustively, then the pre-check on with the default heuristics
-    (committed on binary single-parent nets, so no pre-check there) and with
-    rightmost off (never committed)."""
+    """(query, config) pairs: every heuristic combination through the search
+    alone, so negatives are searched exhaustively, then ``dominates`` with its
+    pre-check under the default heuristics (committed on binary single-parent
+    nets, so no pre-check there) and with rightmost off (never committed)."""
     for flags in itertools.product([False, True], repeat=5):
         suffix_fixing, suffix_extension, rightmost, least_improving, dedup = flags
         for direction in ALL_DIRECTIONS:
-            yield SearchConfig(
+            yield _search, SearchConfig(
                 direction=direction,
                 suffix_fixing=suffix_fixing,
                 suffix_extension=suffix_extension,
@@ -217,11 +218,10 @@ def _oracle_configs():
                 least_improving=least_improving,
                 visited_dedup=dedup,
                 want_witness=False,
-                precheck=False,
             )
     for rightmost in (True, False):
         for direction in ALL_DIRECTIONS:
-            yield SearchConfig(direction=direction, rightmost=rightmost, want_witness=False)
+            yield dominates, SearchConfig(direction=direction, rightmost=rightmost, want_witness=False)
 
 
 def test_criterion_2_oracle_equivalence(instance_set):
@@ -229,14 +229,15 @@ def test_criterion_2_oracle_equivalence(instance_set):
     configs = list(_oracle_configs())
     queries = 0
     for net, closure, pairs in instance_set:
-        for cfg in configs:
+        for query, cfg in configs:
             for x, y in pairs:
-                verdict = dominates(net, x, y, cfg)
+                verdict = query(net, x, y, cfg)
                 assert verdict.kind in (DOMINATES, NOT_DOMINATED)
                 assert (verdict.kind == DOMINATES) == (x in closure[y]), (
                     net.names,
                     x.values,
                     y.values,
+                    query.__name__,
                     cfg,
                 )
                 queries += 1

@@ -19,6 +19,7 @@ from cpnet import (
     validate,
     worst_outcome,
 )
+from cpnet.planning import to_strips
 from helpers import (
     all_pairs,
     brute_force_improving_flips,
@@ -89,6 +90,28 @@ class TestValidate:
             {"A": {("a",): ("a", "abar"), ("abar",): ("a", "abar")}},
         )
         assert not validate(net).ok
+
+    def test_names_and_values_must_be_identifiers(self):
+        # Joined by '-', these would name two different moves
+        # flip-A-b-x-to-c, so such names never validate.
+        net = CPNet(
+            [Variable("A-b", ("x", "c")), Variable("A", ("b-x", "c"))],
+            {"A-b": {(): ("c", "x")}, "A": {(): ("c", "b-x")}},
+        )
+        report = validate(net)
+        assert not report.ok
+        assert "variable name 'A-b' is not an identifier" in report.problems
+        assert "value 'b-x' of variable A is not a word" in report.problems
+        with pytest.raises(CPNetError):
+            to_strips(net, "improving")
+        for bad in ("", "1A", "A b", 7):
+            net = CPNet([Variable(bad, ("a", "abar"))], {bad: {(): ("a", "abar")}})
+            assert not validate(net).ok
+        for bad in ("", "a b", "a.b", 7):
+            net = CPNet([Variable("A", (bad, "abar"))], {"A": {(): (bad, "abar")}})
+            assert not validate(net).ok
+        digits = CPNet([Variable("A_1", ("0", "1"))], {"A_1": {(): ("1", "0")}})
+        assert validate(digits).ok
 
     def test_operations_refuse_invalid_net(self):
         net = CPNet([], {})

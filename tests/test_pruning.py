@@ -2,19 +2,17 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 from cpnet import (
     NOT_DOMINATED,
     SearchConfig,
     Variable,
-    dominates,
     forward_prune,
     oracle_closure,
     value_graph,
 )
 from cpnet.model import CPNet, Outcome, validate
-from cpnet.search import _core
+from cpnet.search import _core, _search
 from helpers import all_pairs, make_net, outcome, random_net
 
 
@@ -192,7 +190,7 @@ class TestSoundness:
             for x, y in all_pairs(net):
                 if not forward_prune(net, x, y).feasible:
                     checked += 1
-                    verdict = dominates(net, x, y, SearchConfig(precheck=False))
+                    verdict = _search(net, x, y, SearchConfig())
                     assert verdict.kind == NOT_DOMINATED
         assert checked > 50
 
@@ -205,9 +203,8 @@ class TestSoundness:
             net = random_net(rng, rng.randint(2, 3))
             for x, y in all_pairs(net)[:20]:
                 result = forward_prune(net, x, y)
-                searched = SearchConfig(precheck=False)
-                improving = dominates(net, x, y, replace(searched, direction="improving"))
-                worsening = dominates(net, x, y, replace(searched, direction="worsening"))
+                improving = _search(net, x, y, SearchConfig(direction="improving"))
+                worsening = _search(net, x, y, SearchConfig(direction="worsening"))
                 assert improving.kind == worsening.kind
                 if not result.feasible:
                     assert improving.kind == NOT_DOMINATED

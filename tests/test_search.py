@@ -28,7 +28,7 @@ from cpnet import (
     validate,
     verify_witness,
 )
-from cpnet.search import _core
+from cpnet.search import _core, _search
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -434,7 +434,7 @@ class TestDecidedBy:
         verdict = dominates(polytree8, x, y)
         assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "rank")
         assert verdict.stats.expansions == 0
-        searched = dominates(polytree8, x, y, SearchConfig(precheck=False))
+        searched = _search(polytree8, x, y, SearchConfig())
         assert (searched.kind, searched.stats.decided_by) == (NOT_DOMINATED, "search")
         assert searched.stats.expansions > 0
 
@@ -472,9 +472,10 @@ class TestDecidedBy:
 # of queries; witness is (flip count, first 16 hex digits of a SHA-256 over
 # the start values and every flip), or None.  Recorded from the string-based
 # engine that the compiled integer core replaced, so the search itself, not
-# only its verdicts, is held fixed.  They are replayed with the pre-check off,
-# which is that unchanged search path; with it on, only negatives may change,
-# and only to an answer found before any search.
+# only its verdicts, is held fixed.  They are replayed through ``_search``,
+# which is that unchanged search path; through ``dominates``, whose pre-check
+# runs first, only negatives may change, and only to an answer found before
+# any search.
 
 PINNED = [
     ("not_dominated", 7, 0, "improving", None),
@@ -564,7 +565,7 @@ def _pinned_queries():
         net = nets[k % len(nets)]
         cfg, direction = combos[(k * 5) % len(combos)]
         x, y = _pinned_pair(rng, net)
-        cfg = replace(cfg, direction=direction, budget=2000, precheck=False)
+        cfg = replace(cfg, direction=direction, budget=2000)
         queries.append((net, x, y, cfg))
     return queries
 
@@ -582,11 +583,11 @@ def _fingerprint(verdict):
 
 def test_pinned_search_behaviour():
     queries = _pinned_queries()
-    got = [_fingerprint(dominates(net, x, y, cfg)) for net, x, y, cfg in queries]
+    got = [_fingerprint(_search(net, x, y, cfg)) for net, x, y, cfg in queries]
     assert got == PINNED
     refuted = 0
     for (net, x, y, cfg), pinned in zip(queries, PINNED):
-        verdict = dominates(net, x, y, replace(cfg, precheck=True))
+        verdict = dominates(net, x, y, cfg)
         if pinned[0] == DOMINATES:
             assert _fingerprint(verdict) == pinned
             assert verdict.stats.decided_by == "search"
