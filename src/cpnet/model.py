@@ -119,7 +119,7 @@ class CPNet:
         self._require_valid()
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise CPNetError(f"unknown variable {name!r}") from None
 
     def outcome(self, assignment: Mapping[str, str]) -> Outcome:
@@ -216,17 +216,32 @@ def validate(net: CPNet) -> ValidationReport:
     if not net.variables:
         problems.append("no variables")
 
+    for v in net.variables:
+        if not _matches(_NAME, v.name):
+            problems.append(f"variable name {v.name!r} is not an identifier")
+        for value in v.domain:
+            if not _matches(_VALUE, value):
+                problems.append(f"value {value!r} of variable {v.name} is not a word")
+        for p in v.parents:
+            if not isinstance(p, str):
+                problems.append(f"parent {p!r} of variable {v.name} is not a name")
+    for owner, rows in net.tables.items():
+        for ranking in rows.values():
+            for value in ranking:
+                if not isinstance(value, str):
+                    problems.append(f"ranking value {value!r} for {owner} is not a word")
+    words = [w for v in net.variables for w in (v.name, *v.domain, *v.parents)]
+    words += [w for rows in net.tables.values() for ranking in rows.values() for w in ranking]
+    if not all(isinstance(word, str) for word in words):
+        net._report = ValidationReport(ok=False, problems=problems)  # the checks below hash words
+        return net._report
+
     declared = {v.name for v in net.variables}
     seen_names: set[str] = set()
     for v in net.variables:
         if v.name in seen_names:
             problems.append(f"duplicate variable {v.name}")
         seen_names.add(v.name)
-        if not _matches(_NAME, v.name):
-            problems.append(f"variable name {v.name!r} is not an identifier")
-        for value in v.domain:
-            if not _matches(_VALUE, value):
-                problems.append(f"value {value!r} of variable {v.name} is not a word")
         if len(v.domain) < 2:
             problems.append(f"variable {v.name} needs at least 2 domain values")
         if len(set(v.domain)) != len(v.domain):
@@ -300,13 +315,17 @@ def _targets(net: CPNet, values: tuple[str, ...], var_i: int, direction: str) ->
     return ranking[:r] if direction == IMPROVING else ranking[r + 1:]
 
 
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise CPNetError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
+
 def legal_flips(net: CPNet, outcome: Outcome, direction: str) -> list[Flip]:
     """All flips sanctioned at ``outcome``: every strictly better (or worse)
     value of each variable under its current parent context, not only the
     adjacent ones."""
     net._require_valid()
-    if direction not in DIRECTIONS:
-        raise CPNetError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    _check_direction(direction)
     net.check_outcome(outcome)
     values = outcome.values
     flips: list[Flip] = []
@@ -320,6 +339,7 @@ def apply_flip(net: CPNet, outcome: Outcome, flip: Flip) -> Outcome:
     """Apply one flip, rejecting anything the net does not sanction."""
     net._require_valid()
     net.check_outcome(outcome)
+    _check_direction(flip.direction)
     i = net.index(flip.variable)
     if outcome.values[i] != flip.from_value:
         raise CPNetError(

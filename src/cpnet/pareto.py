@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .dsl import CatalogRow
 from .model import CPNet, Outcome
-from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _core, dominates
+from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, dominates
 
 
 @dataclass
@@ -31,36 +31,27 @@ class ParetoReport:
 
 @dataclass
 class _Pass:
+    members: dict[Outcome, list[str]]  # unique outcome -> row ids, by first appearance
     tiers: list[list[Outcome]]  # unique outcomes by dominance layer
     winner: dict[Outcome, Outcome]  # dominated outcome -> a dominator
     cut: list[tuple[Outcome, Outcome]]  # (a, b) where "a dominates b" ran out of budget
     searches: int
 
 
-def _group_rows(rows: list[CatalogRow]) -> tuple[list[Outcome], dict[Outcome, list[str]]]:
-    """Unique outcomes in first-appearance order plus their member ids."""
-    order: list[Outcome] = []
-    members: dict[Outcome, list[str]] = {}
-    for row in rows:
-        if row.outcome not in members:
-            members[row.outcome] = []
-            order.append(row.outcome)
-        members[row.outcome].append(row.identifier)
-    return order, members
-
-
-def _layers(net: CPNet, unique: list[Outcome], cfg: SearchConfig, front_only: bool) -> _Pass:
-    """The rank-ordered dominance pass; ties in rank keep first appearance.
-    With ``front_only`` only layer 0 is scanned, giving at most two layers."""
-    net._require_valid()
-    core = _core(net)
+def _layers(net: CPNet, rows: list[CatalogRow], cfg: SearchConfig, front_only: bool) -> _Pass:
+    """The rank-ordered dominance pass over the rows' unique outcomes; ties
+    in rank keep first appearance.  With ``front_only`` only layer 0 is
+    scanned, giving at most two layers."""
+    core, codes = _compiled(net, *(row.outcome for row in rows))
+    found = _Pass({}, [], {}, [], 0)
     rank: dict[Outcome, int] = {}
-    for o in unique:
-        net.check_outcome(o)
-        rank[o] = core.rank(core.encode(o.values))
-    found = _Pass([], {}, [], 0)
+    for row, vals in zip(rows, codes):
+        if row.outcome not in rank:
+            rank[row.outcome] = core.rank(vals)
+            found.members[row.outcome] = []
+        found.members[row.outcome].append(row.identifier)
     layer: dict[Outcome, int] = {}
-    for b in sorted(unique, key=rank.__getitem__, reverse=True):
+    for b in sorted(rank, key=rank.__getitem__, reverse=True):
         layer[b] = 0
         scan = found.tiers[:1] if front_only else found.tiers
         for a in (a for tier in reversed(scan) for a in tier if rank[a] > rank[b]):
@@ -87,17 +78,15 @@ def pareto_front(
     winner per loser); comparisons that exhaust the budget leave their id
     pairs undecided rather than guessing.
     """
-    unique, members = _group_rows(rows)
-    found = _layers(net, unique, cfg or SearchConfig(), front_only=True)
-    winner = found.winner
+    found = _layers(net, rows, cfg or SearchConfig(), front_only=True)
+    winner, members = found.winner, found.members
     # A loser settled elsewhere no longer leaves a pair open.
     open_pairs = [(a, b) for a, b in found.cut if a not in winner and b not in winner]
     blocked = {o for pair in open_pairs for o in pair}
 
     nondominated: list[str] = []
     dominated: list[tuple[str, str]] = []
-    for outcome in unique:
-        ids = members[outcome]
+    for outcome, ids in members.items():
         if outcome in winner:
             winner_id = members[winner[outcome]][0]
             dominated.extend((loser, winner_id) for loser in ids)
@@ -120,6 +109,5 @@ def sort_catalog(
     every row that dominates it.  Ties within a layer are ordered by id.
     Comparisons the budget cut off are treated as non-dominating.
     """
-    unique, members = _group_rows(rows)
-    tiers = _layers(net, unique, cfg or SearchConfig(), front_only=False).tiers
-    return [sorted(i for o in tier for i in members[o]) for tier in tiers]
+    found = _layers(net, rows, cfg or SearchConfig(), front_only=False)
+    return [sorted(i for o in tier for i in found.members[o]) for tier in found.tiers]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .model import CPNet, Outcome
-from .search import _core
+from .search import _compiled
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -90,11 +90,8 @@ def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
     variable; the surviving sets of processed parents feed each child's row
     consistency check.
     """
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
-    core = _core(net)
-    masks = core.prune(core.encode(x.values), core.encode(y.values))
+    core, (xs, ys) = _compiled(net, x, y)
+    masks = core.prune(xs, ys)
     surviving = {
         core.names[p]: tuple(value for k, value in enumerate(core.domains[p]) if mask >> k & 1)
         for p, mask in enumerate(masks)

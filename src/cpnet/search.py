@@ -35,6 +35,7 @@ queries.  A searched outcome keeps its fixed suffix and extension frontier as
 bitmasks that a flip updates locally, so the rightmost extension or candidate
 is the highest set bit.  ``fixed_suffix``, ``extend_suffix`` and
 ``order_flips`` read that same state; strings return only in witnesses.
+Every query, view and catalog pass enters the core through ``_compiled``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .model import (
     Flip,
     FlipSequence,
     Outcome,
+    _check_direction,
     _targets,
 )
 
@@ -106,39 +108,28 @@ class Verdict:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-@dataclass(frozen=True)
-class SuffixSet:
-    """A descendant-closed set of variables (every child of a member is a member)."""
-
-    variables: frozenset[str]
-
-
-def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> SuffixSet:
-    """The maximal descendant-closed set on which ``z`` already matches ``x``:
-    every variable that neither differs from ``x`` nor has a descendant that
-    does."""
-    state = _searcher(net, z, x, IMPROVING, SearchConfig())
-    names = state.core.names
-    return SuffixSet(frozenset(n for p, n in enumerate(names) if not state.unfixed >> p & 1))
+def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> frozenset[str]:
+    """The maximal descendant-closed set of variables (every child of a
+    member is a member) on which ``z`` already matches ``x``: every variable
+    that neither differs from ``x`` nor has a descendant that does."""
+    core, (zs, xs) = _compiled(net, z, x)
+    unfixed = _Searcher(core, zs, xs, IMPROVING, SearchConfig()).unfixed
+    return frozenset(name for p, name in enumerate(core.names) if not unfixed >> p & 1)
 
 
-def extend_suffix(
-    net: CPNet, z: Outcome, x: Outcome, suffix: SuffixSet, direction: str
-) -> Flip | None:
-    """A committed move next to the suffix, if one exists: a legal flip that
-    sets some variable outside the suffix, all of whose descendants are fixed,
-    to its target value.  The rightmost such flip is the one the engine takes."""
-    state = _searcher(net, z, x, direction, SearchConfig())
-    core = state.core
-    outside = sum(1 << p for p, name in enumerate(core.names) if name not in suffix.variables)
-    candidates = state.reach & outside
-    while candidates:
-        p = candidates.bit_length() - 1
-        if not core.child_mask[p] & outside:
-            i = core.decl[p]
-            return Flip(core.names[p], z.values[i], x.values[i], direction)
-        candidates ^= 1 << p
-    return None
+def extend_suffix(net: CPNet, z: Outcome, x: Outcome, direction: str) -> Flip | None:
+    """The move the engine commits at ``z`` searching toward ``x``, if any: a
+    legal flip that sets a variable outside ``fixed_suffix(net, z, x)``, all
+    of whose children are inside it, to its value in ``x``; the rightmost
+    such flip."""
+    _check_direction(direction)
+    core, (zs, xs) = _compiled(net, z, x)
+    state = _Searcher(core, zs, xs, direction, SearchConfig())
+    extension = state.frontier & state.reach
+    if not extension:
+        return None
+    p = extension.bit_length() - 1
+    return core.flip(p, zs[p], xs[p], direction)
 
 
 def order_flips(
@@ -152,16 +143,22 @@ def order_flips(
     order when the heuristic is off), then least-improving target within a
     variable (most-improving when off).  Every candidate must be a flip the
     net sanctions at ``z``."""
-    net._require_valid()
+    for flip in candidates:
+        _check_direction(flip.direction)
+    core, (zs, xs) = _compiled(net, z, x)
     rank: dict[Flip, int] = {}
     for direction in {f.direction for f in candidates}:
-        state = _searcher(net, z, x, direction, cfg)
+        state = _Searcher(core, zs, xs, direction, cfg)
         for k, (p, value) in enumerate(state.ordered(state.movable)):
-            rank[state.core.flip(p, state.vals[p], value, direction)] = k
-    try:
-        return sorted(candidates, key=rank.__getitem__)
-    except KeyError as err:
-        raise CPNetError(f"not a sanctioned flip at this outcome: {err.args[0]}") from None
+            rank[core.flip(p, zs[p], value, direction)] = k
+
+    def position(flip: Flip) -> int:
+        try:
+            return rank[flip]
+        except (KeyError, TypeError):  # TypeError: a field is unhashable
+            raise CPNetError(f"not a sanctioned flip at this outcome: {flip}") from None
+
+    return sorted(candidates, key=position)
 
 
 # -- brute-force oracle ----------------------------------------------------
@@ -249,9 +246,10 @@ def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bo
     values = seq.start.values
     seen = {values}
     for flip in seq.flips:
-        if flip.variable not in net._index:
+        try:
+            i = net.index(flip.variable)
+        except CPNetError:
             return False
-        i = net._index[flip.variable]
         if values[i] != flip.from_value:
             return False
         if flip.to_value not in _targets(net, values, i, direction):
@@ -285,10 +283,11 @@ class _Core:
         variables = [net.variables[i] for i in order]
         pos = {v.name: p for p, v in enumerate(variables)}
         parents = [[pos[name] for name in v.parents] for v in variables]
-        self.decl = tuple(order)
         self.names = tuple(v.name for v in variables)
         self.domains = tuple(v.domain for v in variables)
-        self.codes = tuple({value: k for k, value in enumerate(v.domain)} for v in variables)
+        # per position: its value -> index map and its declaration index
+        self.codes = tuple(({value: k for k, value in enumerate(v.domain)}, i)
+                           for v, i in zip(variables, order))
         self.single_parent_binary = all(
             len(v.domain) == 2 and len(v.parents) <= 1 for v in variables
         )
@@ -337,7 +336,15 @@ class _Core:
         self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
 
     def encode(self, values: tuple[str, ...]) -> list[int]:
-        return [code[values[i]] for code, i in zip(self.codes, self.decl)]
+        return [code[values[i]] for code, i in self.codes]
+
+    def committed(self, cfg: SearchConfig) -> bool:
+        """Whether a search under ``cfg`` commits to its first candidate.  On
+        binary nets where no variable has two parents, the first-ordered move
+        under the full rule set never needs reconsidering, so each node keeps
+        a single child and chains and trees search backtrack-free."""
+        return (self.single_parent_binary and cfg.rightmost
+                and cfg.suffix_fixing and cfg.suffix_extension)
 
     def rows(self, vals: list[int]) -> list[int]:
         """Each variable's parent row, times its domain size, at ``vals``."""
@@ -417,11 +424,17 @@ def _walk(arcs: list[int], start: int) -> int:
     return seen
 
 
-def _core(net: CPNet) -> _Core:
+def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
+    """The one way into the engine: validate the net, check every outcome
+    before anything hashes it, and return the net's core, compiled on first
+    use, with the outcomes encoded."""
+    net._require_valid()
+    for o in outcomes:
+        net.check_outcome(o)
     core = net._core
     if core is None:
         core = net._core = _Core(net)  # one assignment of a finished core
-    return core
+    return core, [core.encode(o.values) for o in outcomes]
 
 
 class _Frame:
@@ -457,7 +470,7 @@ class _Searcher:
     """
 
     def __init__(self, core: _Core, start: list[int], goal: list[int], direction: str,
-                 cfg: SearchConfig, committed: bool = False):
+                 cfg: SearchConfig):
         self.core = core
         self.table = table = core.up if direction == IMPROVING else core.down
         self.vals = vals = list(start)
@@ -484,7 +497,7 @@ class _Searcher:
         self.movable, self.reach, self.unfixed, self.frontier = movable, reach, unfixed, frontier
         self.direction = direction
         self.cfg = cfg
-        self.committed = committed
+        self.committed = core.committed(cfg)
         self.visited: set[int] = {start_key}
         self.came_from: dict[int, tuple[int, int, int, int]] = {}
         self.stack: list[_Frame] = [_Frame(start_key, self.candidates(), None)]
@@ -605,31 +618,6 @@ class _Searcher:
         return flips
 
 
-def _searcher(net: CPNet, z: Outcome, x: Outcome, direction: str, cfg: SearchConfig) -> _Searcher:
-    """The engine's state at ``z`` searching toward ``x``, for the views above."""
-    net._require_valid()
-    net.check_outcome(z)
-    net.check_outcome(x)
-    core = _core(net)
-    return _Searcher(core, core.encode(z.values), core.encode(x.values), direction, cfg)
-
-
-def _prepare(
-    net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig
-) -> tuple[_Core, list[int], list[int], bool]:
-    """The compiled core, both outcomes encoded, and whether search commits."""
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
-    core = _core(net)
-    # On binary nets where no variable has two parents, the first-ordered
-    # move under the full rule set never needs reconsidering, so each node
-    # keeps a single child and chains/trees search backtrack-free.
-    committed = cfg.rightmost and cfg.suffix_fixing and cfg.suffix_extension
-    committed = committed and core.single_parent_binary
-    return core, core.encode(x.values), core.encode(y.values), committed
-
-
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
     """Decide whether the net entails x > y.
 
@@ -640,8 +628,8 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     search is committed, the rank and forward-prune pre-checks run first.
     """
     cfg = cfg or SearchConfig()
-    core, xs, ys, committed = _prepare(net, x, y, cfg)
-    if x != y and not committed:
+    core, (xs, ys) = _compiled(net, x, y)
+    if xs != ys and not core.committed(cfg):
         stats = SearchStats()
         if core.rank(xs) <= core.rank(ys):
             stats.decided_by = "rank"
@@ -649,41 +637,36 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
             stats.decided_by = "prune"
         if stats.decided_by != "none":
             return Verdict(NOT_DOMINATED, stats=stats)
-    return _flip_search(core, x, y, xs, ys, cfg, committed)
+    return _flip_search(core, x, y, xs, ys, cfg)
 
 
 def _search(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig) -> Verdict:
     """``dominates`` without the pre-check, so every negative is searched
     exhaustively; the oracle sweep checks the search itself through this."""
-    core, xs, ys, committed = _prepare(net, x, y, cfg)
-    return _flip_search(core, x, y, xs, ys, cfg, committed)
+    core, (xs, ys) = _compiled(net, x, y)
+    return _flip_search(core, x, y, xs, ys, cfg)
 
 
 def _flip_search(
-    core: _Core,
-    x: Outcome,
-    y: Outcome,
-    xs: list[int],
-    ys: list[int],
-    cfg: SearchConfig,
-    committed: bool,
+    core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
 ) -> Verdict:
     """The flip search proper, from the encoded outcomes."""
     stats = SearchStats()
-    if x == y:
+    if xs == ys:
         stats.decided_by = "equal"
         return Verdict(NOT_DOMINATED, stats=stats)
 
     searchers: list[_Searcher] = []
     if cfg.direction in (IMPROVING, BIDIRECTIONAL):
-        searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg, committed))
+        searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg))
     if cfg.direction in (WORSENING, BIDIRECTIONAL):
-        searchers.append(_Searcher(core, xs, ys, WORSENING, cfg, committed))
+        searchers.append(_Searcher(core, xs, ys, WORSENING, cfg))
     bidirectional = len(searchers) == 2
 
     def snapshot(decided: str) -> SearchStats:
-        stats.expansions = sum(s.expansions for s in searchers)
-        stats.backtracks = sum(s.backtracks for s in searchers)
+        for side in searchers:  # called once, as the search returns
+            stats.expansions += side.expansions
+            stats.backtracks += side.backtracks
         stats.direction_decided = decided
         stats.decided_by = "budget" if decided == "none" else "search"
         return stats

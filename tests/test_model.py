@@ -110,6 +110,15 @@ class TestValidate:
         for bad in ("", "a b", "a.b", 7):
             net = CPNet([Variable("A", (bad, "abar"))], {"A": {(): (bad, "abar")}})
             assert not validate(net).ok
+        unhashable = (  # a domain value, a ranking entry, a parent name
+            CPNet([Variable("A", (["a"], "b"))], {"A": {(): ("b", "a")}}),
+            CPNet([Variable("A", ("a", "b"))], {"A": {(): (["a"], "b")}}),
+            CPNet([Variable("A", ("a", "b"), (["B"],))], {"A": {(): ("a", "b")}}),
+        )
+        for net in unhashable:
+            report = validate(net)
+            assert not report.ok
+            assert any("['" in problem for problem in report.problems), report.problems
         digits = CPNet([Variable("A_1", ("0", "1"))], {"A_1": {(): ("1", "0")}})
         assert validate(digits).ok
 

@@ -12,7 +12,7 @@ from cpnet import (
     value_graph,
 )
 from cpnet.model import CPNet, Outcome, validate
-from cpnet.search import _core, _search
+from cpnet.search import _compiled, _search
 from helpers import all_pairs, make_net, outcome, random_net
 
 
@@ -115,7 +115,7 @@ class TestSweepMatchesValueGraphs:
             pairs = all_pairs(net)
             for x, y in rng.sample(pairs, min(40, len(pairs))):
                 surviving, failed = {}, None
-                for name in _core(net).names:  # topological order
+                for name in _compiled(net)[0].names:  # topological order
                     i = net.index(name)
                     graph = value_graph(net, name, x, y, surviving)
                     keep = _walks_through(graph, x.values[i], y.values[i])

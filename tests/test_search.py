@@ -10,6 +10,7 @@ from cpnet import (
     BUDGET_EXHAUSTED,
     DOMINATES,
     NOT_DOMINATED,
+    CatalogRow,
     CPNetError,
     Flip,
     FlipSequence,
@@ -24,11 +25,14 @@ from cpnet import (
     oracle_closure,
     oracle_dominates,
     order_flips,
+    pareto_front,
     parse_cpnet,
+    sort_catalog,
+    topological_order,
     validate,
     verify_witness,
 )
-from cpnet.search import _core, _search
+from cpnet.search import _compiled, _search
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -150,36 +154,67 @@ class TestSuffixRules:
     def test_fixed_suffix_on_polytree(self, polytree8):
         z = outcome(polytree8, "A=abar,B=b,C=cbar,D=dbar,E=ebar,F=f,G=g,H=h")
         x = outcome(polytree8, "A=a,B=b,C=c,D=d,E=ebar,F=fbar,G=g,H=h")
-        suffix = fixed_suffix(polytree8, z, x)
-        assert suffix.variables == frozenset({"E", "G", "H"})
+        assert fixed_suffix(polytree8, z, x) == frozenset({"E", "G", "H"})
 
     def test_full_match(self, chain3):
         z = outcome(chain3, "A=a,B=b,C=c")
-        assert fixed_suffix(chain3, z, z).variables == frozenset({"A", "B", "C"})
+        assert fixed_suffix(chain3, z, z) == frozenset({"A", "B", "C"})
 
     def test_matching_root_excluded_when_children_differ(self, chain3):
         z = outcome(chain3, "A=abar,B=b,C=cbar")
         x = outcome(chain3, "A=abar,B=bbar,C=c")
-        assert fixed_suffix(chain3, z, x).variables == frozenset()
+        assert fixed_suffix(chain3, z, x) == frozenset()
 
     def test_extension_commits_the_enabled_flip(self, polytree8):
         z = outcome(polytree8, "A=abar,B=b,C=cbar,D=dbar,E=ebar,F=f,G=g,H=h")
         x = outcome(polytree8, "A=a,B=b,C=c,D=d,E=ebar,F=fbar,G=g,H=h")
-        suffix = fixed_suffix(polytree8, z, x)
-        flip = extend_suffix(polytree8, z, x, suffix, "improving")
+        flip = extend_suffix(polytree8, z, x, "improving")
         assert flip == Flip("F", "f", "fbar", "improving")
 
     def test_extension_stops_when_no_legal_move(self, polytree8):
         z = outcome(polytree8, "A=abar,B=b,C=cbar,D=dbar,E=ebar,F=fbar,G=g,H=h")
         x = outcome(polytree8, "A=a,B=b,C=c,D=d,E=ebar,F=fbar,G=g,H=h")
-        suffix = fixed_suffix(polytree8, z, x)
-        assert suffix.variables == frozenset({"E", "F", "G", "H"})
-        assert extend_suffix(polytree8, z, x, suffix, "improving") is None
+        assert fixed_suffix(polytree8, z, x) == frozenset({"E", "F", "G", "H"})
+        assert extend_suffix(polytree8, z, x, "improving") is None
 
     def test_extension_trivial_when_equal(self, chain3):
         z = outcome(chain3, "A=a,B=b,C=c")
-        suffix = fixed_suffix(chain3, z, z)
-        assert extend_suffix(chain3, z, z, suffix, "improving") is None
+        assert extend_suffix(chain3, z, z, "improving") is None
+
+    def test_views_match_their_definitions(self):
+        # The definitions read Variable.parents and legal_flips, not the core.
+        rng = random.Random(57)
+        for _ in range(25):
+            net = random_net(rng, rng.randint(2, 4), (2, 3), 3)
+            children = {v.name: [c.name for c in net.variables if v.name in c.parents]
+                        for v in net.variables}
+            position = {name: k for k, name in enumerate(topological_order(net))}
+            outcomes = all_outcomes(net)
+            for z in outcomes:
+                for x in outcomes:
+                    fixed = _largest_fixed_set(net, children, z, x)
+                    assert fixed_suffix(net, z, x) == fixed
+                    for direction in ("improving", "worsening"):
+                        expected = None
+                        flips = legal_flips(net, z, direction)
+                        for flip in sorted(flips, key=lambda f: position[f.variable]):
+                            if (
+                                flip.variable not in fixed
+                                and all(c in fixed for c in children[flip.variable])
+                                and flip.to_value == x.values[net.index(flip.variable)]
+                            ):
+                                expected = flip
+                        assert extend_suffix(net, z, x, direction) == expected
+
+
+def _largest_fixed_set(net, children, z, x):
+    """The largest descendant-closed set of variables on which z equals x."""
+    fixed = {v.name for v, a, b in zip(net.variables, z.values, x.values) if a == b}
+    while True:
+        leaving = {name for name in fixed if any(c not in fixed for c in children[name])}
+        if not leaving:
+            return frozenset(fixed)
+        fixed -= leaving
 
 
 class TestOrderFlips:
@@ -214,6 +249,18 @@ class TestOrderFlips:
         stray = Flip("B", "bbar", "b", "improving")  # B's row under A=abar prefers bbar
         with pytest.raises(CPNetError):
             order_flips(chain3, z, [stray], x, SearchConfig())
+
+    def test_unknown_direction_rejected(self, chain3):
+        x = outcome(chain3, "A=a,B=b,C=c")
+        y = outcome(chain3, "A=abar,B=b,C=c")
+        sideways = Flip("A", "a", "abar", "sideways")
+        message = "direction must be one of"
+        with pytest.raises(CPNetError, match=message):
+            order_flips(chain3, x, [sideways], y, SearchConfig())
+        with pytest.raises(CPNetError, match=message):
+            extend_suffix(chain3, x, y, "sideways")
+        with pytest.raises(CPNetError, match=message):
+            apply_flip(chain3, x, sideways)
 
 
 class TestVerifyWitness:
@@ -255,12 +302,38 @@ class TestVerifyWitness:
             verify_witness(chain2, y, x, seq)
 
 
+LISTED = Flip(["A"], "a", "abar", "worsening")  # an unhashable variable name
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda net, x, y: pareto_front(net, [CatalogRow("r1", x), CatalogRow("r2", y)]),
+         CPNetError),
+        (lambda net, x, y: sort_catalog(net, [CatalogRow("r1", x), CatalogRow("r2", y)]),
+         CPNetError),
+        (lambda net, x, y: apply_flip(net, x, LISTED), CPNetError),
+        (lambda net, x, y: order_flips(net, x, [LISTED], x, SearchConfig()), CPNetError),
+        (lambda net, x, y: verify_witness(net, x, x, FlipSequence(x, (LISTED,))), False),
+    ],
+    ids=["pareto_front", "sort_catalog", "apply_flip", "order_flips", "verify_witness"],
+)
+def test_unhashable_input_is_refused(chain2, call, refusal):
+    x = outcome(chain2, "A=a,B=b")
+    y = Outcome((["a"], "b"))  # used only where the call checks outcomes
+    if refusal is False:
+        assert call(chain2, x, y) is False
+    else:
+        with pytest.raises(refusal):
+            call(chain2, x, y)
+
+
 class TestRank:
     def test_improving_flips_raise_the_rank(self):
         rng = random.Random(93)
         for _ in range(30):
             net = random_net(rng, rng.randint(2, 6), (2, 3), 3)
-            core = _core(net)
+            core, _ = _compiled(net)
             for z in all_outcomes(net):
                 rank = core.rank(core.encode(z.values))
                 for flip in legal_flips(net, z, "improving"):
@@ -429,8 +502,8 @@ class TestDecidedBy:
     def test_rank_refutes_before_search(self, polytree8):
         x = outcome(polytree8, "A=a,B=bbar,C=c,D=d,E=e,F=f,G=g,H=h")
         y = outcome(polytree8, "A=abar,B=b,C=c,D=d,E=e,F=f,G=g,H=h")
-        core = _core(polytree8)
-        assert core.rank(core.encode(x.values)) <= core.rank(core.encode(y.values))
+        core, (xs, ys) = _compiled(polytree8, x, y)
+        assert core.rank(xs) <= core.rank(ys)
         verdict = dominates(polytree8, x, y)
         assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "rank")
         assert verdict.stats.expansions == 0
@@ -441,8 +514,8 @@ class TestDecidedBy:
     def test_prune_refutes_what_rank_does_not(self, polytree8):
         x = outcome(polytree8, "A=a,B=b,C=c,D=d,E=ebar,F=f,G=g,H=h")
         y = outcome(polytree8, "A=a,B=b,C=c,D=d,E=e,F=f,G=gbar,H=h")
-        core = _core(polytree8)
-        assert core.rank(core.encode(x.values)) > core.rank(core.encode(y.values))
+        core, (xs, ys) = _compiled(polytree8, x, y)
+        assert core.rank(xs) > core.rank(ys)
         verdict = dominates(polytree8, x, y)
         assert (verdict.kind, verdict.stats.decided_by) == (NOT_DOMINATED, "prune")
         assert (verdict.stats.expansions, verdict.stats.direction_decided) == (0, "none")
