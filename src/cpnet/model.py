@@ -142,6 +142,8 @@ class CPNet:
         return ",".join(f"{v.name}={x}" for v, x in zip(self.variables, outcome.values))
 
     def check_outcome(self, outcome: Outcome) -> None:
+        if not isinstance(outcome.values, tuple):  # outcomes are hashed as keys
+            raise CPNetError("outcome values must be a tuple")
         if len(outcome.values) != len(self.variables):
             raise CPNetError("outcome does not match this net's variable set")
         for v, x in zip(self.variables, outcome.values):

@@ -26,8 +26,10 @@ On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
 search on chains and trees of binary variables then proceeds without
 backtracking, and the brute-force oracle in this module is the reference
-that the test suite checks this against.  Such a search is linear, so the
-pre-check is skipped there.
+that the test suite checks this against.  Such a search is one linear walk:
+the pre-check is skipped, bidirectional mode runs the improving side alone
+(complete on its own), and a walk that dead-ends stops there, since no other
+branch exists to unwind to.
 
 A validated net is frozen, and the first query compiles it into an integer
 core (``_Core``) that is cached on the net and shared read-only by concurrent
@@ -229,7 +231,8 @@ def oracle_closure(net: CPNet, cap: int = 2**16) -> dict[Outcome, frozenset[Outc
 
 def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> bool:
     """True iff ``seq`` proves x > y: an improving chain from y to x, or the
-    worsening mirror from x to y.  The empty sequence proves nothing."""
+    worsening mirror from x to y, every flip labelled with that direction.
+    The empty sequence proves nothing."""
     net._require_valid()
     net.check_outcome(x)
     net.check_outcome(y)
@@ -246,6 +249,8 @@ def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bo
     values = seq.start.values
     seen = {values}
     for flip in seq.flips:
+        if flip.direction != direction:
+            return False
         try:
             i = net.index(flip.variable)
         except CPNetError:
@@ -602,6 +607,10 @@ class _Searcher:
                 stack.append(_Frame(child, self.candidates(), (p, old)))
                 self.expansions += 1
                 return _EXPANDED
+            if self.committed:
+                # One child per frame, and no flip revisits an outcome, so a
+                # committed path that dead-ends has no branch left to try.
+                return _EXHAUSTED
             stack.pop()
             if stack:
                 self.flip(*frame.undo)
@@ -624,8 +633,10 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     Improving search walks from y toward x, worsening from x toward y, and
     bidirectional mode alternates one expansion per side, concluding as soon
     as either side finishes or the frontiers meet (meeting at z gives
-    x > z > y, hence x > y; the witnesses are spliced at z).  Unless the
-    search is committed, the rank and forward-prune pre-checks run first.
+    x > z > y, hence x > y; the witnesses are spliced at z).  A committed
+    search (``_Core.committed``) is one walk, so there bidirectional mode
+    runs the improving side alone and no pre-check runs; otherwise the rank
+    and forward-prune pre-checks run first.
     """
     cfg = cfg or SearchConfig()
     core, (xs, ys) = _compiled(net, x, y)
@@ -656,10 +667,13 @@ def _flip_search(
         stats.decided_by = "equal"
         return Verdict(NOT_DOMINATED, stats=stats)
 
+    direction = cfg.direction
+    if direction == BIDIRECTIONAL and core.committed(cfg):
+        direction = IMPROVING  # a committed walk is complete on its own
     searchers: list[_Searcher] = []
-    if cfg.direction in (IMPROVING, BIDIRECTIONAL):
+    if direction in (IMPROVING, BIDIRECTIONAL):
         searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg))
-    if cfg.direction in (WORSENING, BIDIRECTIONAL):
+    if direction in (WORSENING, BIDIRECTIONAL):
         searchers.append(_Searcher(core, xs, ys, WORSENING, cfg))
     bidirectional = len(searchers) == 2
 

@@ -114,7 +114,7 @@ class TestParetoFront:
             ("p", "A=a,B=bbar,C=cbar"),
             ("r", "A=abar,B=bbar,C=cbar"),
         )
-        report = pareto_front(indep3, rows, SearchConfig(budget=3))
+        report = pareto_front(indep3, rows, SearchConfig(budget=2))
         assert report.dominated == [("r", "p")]
         assert report.undecided == [("p", "q")]  # q vs r also ran out of budget
         assert report.nondominated == []

@@ -32,7 +32,7 @@ from cpnet import (
     validate,
     verify_witness,
 )
-from cpnet.search import _compiled, _search
+from cpnet.search import _compiled, _search, _Searcher
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -292,6 +292,19 @@ class TestVerifyWitness:
         z = outcome(chain3, "A=a,B=b,C=c")
         assert not verify_witness(chain3, z, z, FlipSequence(z, ()))
 
+    def test_flip_labels_must_match_the_replay(self, chain2):
+        x = outcome(chain2, "A=a,B=bbar")
+        y = outcome(chain2, "A=abar,B=bbar")
+        seq = dominates(chain2, x, y).witness
+        assert verify_witness(chain2, x, y, seq)
+        for label in ("sideways", "worsening"):
+            flips = tuple(replace(f, direction=label) for f in seq.flips)
+            assert not verify_witness(chain2, x, y, FlipSequence(seq.start, flips))
+        mirror = FlipSequence(x, tuple(f.reversed() for f in reversed(seq.flips)))
+        assert verify_witness(chain2, x, y, mirror)
+        flips = tuple(replace(f, direction="improving") for f in mirror.flips)
+        assert not verify_witness(chain2, x, y, FlipSequence(x, flips))
+
     def test_value_outside_domain_is_an_input_error(self, chain2):
         x = outcome(chain2, "A=a,B=b")
         y = Outcome(("zz", "b"))
@@ -326,6 +339,20 @@ def test_unhashable_input_is_refused(chain2, call, refusal):
     else:
         with pytest.raises(refusal):
             call(chain2, x, y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, o: dominates(net, o, o),
+        lambda net, o: pareto_front(net, [CatalogRow("r1", o)]),
+        lambda net, o: sort_catalog(net, [CatalogRow("r1", o)]),
+    ],
+    ids=["dominates", "pareto_front", "sort_catalog"],
+)
+def test_list_valued_outcome_is_refused(chain2, call):
+    with pytest.raises(CPNetError, match="tuple"):
+        call(chain2, Outcome(["a", "b"]))
 
 
 class TestRank:
@@ -383,6 +410,47 @@ class TestDirectionAsymmetry:
         worsening = dominates(chain3, x, y, replace(RAW, direction="worsening"))
         assert improving.kind == worsening.kind == DOMINATES
         assert improving.stats.expansions < worsening.stats.expansions
+
+
+def _committed_nets():
+    rng = random.Random(61)
+    chains = [random_chain(rng, n) for n in (2, 4, 5)]
+    return chains + [random_tree(rng, n) for n in (3, 5, 6)]
+
+
+class TestOneWalk:
+    """On committed nets bidirectional mode runs the improving walk alone,
+    and a dead end ends the search without unwinding the path."""
+
+    def test_bidirectional_is_the_improving_walk(self):
+        improving = SearchConfig(direction="improving")
+        for net in _committed_nets():
+            for x, y in all_pairs(net):
+                both, one = dominates(net, x, y), dominates(net, x, y, improving)
+                assert both.kind == one.kind
+                assert both.witness == one.witness
+                assert both.stats == one.stats
+
+    def test_dead_end_undoes_no_flip(self, monkeypatch):
+        flips = 0
+        real = _Searcher.flip
+
+        def counted(self, p, value):
+            nonlocal flips
+            flips += 1
+            real(self, p, value)
+
+        monkeypatch.setattr(_Searcher, "flip", counted)
+        negatives = 0
+        for net in _committed_nets():
+            for x, y in all_pairs(net):
+                for direction in ("improving", "worsening", "bidirectional"):
+                    flips = 0
+                    verdict = dominates(net, x, y, SearchConfig(direction=direction))
+                    if verdict.kind == NOT_DOMINATED:
+                        negatives += 1
+                        assert flips == verdict.stats.expansions - 1
+        assert negatives > 1000
 
 
 POLY3_TEXT = """
@@ -545,10 +613,12 @@ class TestDecidedBy:
 # of queries; witness is (flip count, first 16 hex digits of a SHA-256 over
 # the start values and every flip), or None.  Recorded from the string-based
 # engine that the compiled integer core replaced, so the search itself, not
-# only its verdicts, is held fixed.  They are replayed through ``_search``,
-# which is that unchanged search path; through ``dominates``, whose pre-check
-# runs first, only negatives may change, and only to an answer found before
-# any search.
+# only its verdicts, is held fixed; the exceptions are the four committed
+# bidirectional queries (entries 7, 10, 22 and 28), which run the improving
+# walk alone and so equal their ``direction="improving"`` twins.
+# They are replayed through ``_search``, which is that search path; through
+# ``dominates``, whose pre-check runs first, only negatives may change, and
+# only to an answer found before any search.
 
 PINNED = [
     ("not_dominated", 7, 0, "improving", None),
@@ -558,10 +628,10 @@ PINNED = [
     ("dominates", 19, 0, "worsening", (9, "182b8d6a247f4912")),
     ("budget_exhausted", 2000, 684, "none", None),
     ("not_dominated", 40, 11, "improving", None),
-    ("dominates", 12, 0, "improving", (6, "de49cfc36f7e12f6")),
+    ("dominates", 6, 0, "improving", (6, "de49cfc36f7e12f6")),
     ("budget_exhausted", 2000, 496, "none", None),
     ("not_dominated", 10, 1, "improving", None),
-    ("dominates", 15, 0, "worsening", (8, "0fb3f50d4a082844")),
+    ("dominates", 8, 0, "improving", (8, "665bbfc73452f664")),
     ("not_dominated", 11, 1, "worsening", None),
     ("dominates", 30, 8, "improving", (11, "024e648851fa7f5d")),
     ("dominates", 10, 0, "improving", (5, "af4262a106fe2bdb")),
@@ -573,13 +643,13 @@ PINNED = [
     ("dominates", 4, 0, "improving", (2, "3eafa432c27f4c3b")),
     ("not_dominated", 193, 86, "worsening", None),
     ("not_dominated", 18, 0, "improving", None),
-    ("not_dominated", 29, 0, "worsening", None),
+    ("not_dominated", 26, 0, "improving", None),
     ("dominates", 5, 0, "worsening", (5, "c8925a2bf8c346e3")),
     ("dominates", 9, 0, "improving", (9, "e1461b532bb4c109")),
     ("not_dominated", 57, 8, "worsening", None),
     ("dominates", 3, 0, "worsening", (3, "64e48255330dad5f")),
     ("dominates", 16, 3, "improving", (7, "9631c76743b57bc3")),
-    ("not_dominated", 15, 0, "worsening", None),
+    ("not_dominated", 13, 0, "improving", None),
     ("dominates", 11, 0, "worsening", (11, "4481e64b00c5a9ba")),
     ("dominates", 10, 0, "improving", (10, "8c08191b0b30c6a2")),
     ("not_dominated", 21, 1, "worsening", None),
@@ -658,6 +728,15 @@ def test_pinned_search_behaviour():
     queries = _pinned_queries()
     got = [_fingerprint(_search(net, x, y, cfg)) for net, x, y, cfg in queries]
     assert got == PINNED
+    one_walk = [
+        k for k, (net, x, y, cfg) in enumerate(queries)
+        if cfg.direction == "bidirectional" and _compiled(net)[0].committed(cfg)
+    ]
+    assert one_walk == [7, 10, 22, 28]
+    for k in one_walk:
+        net, x, y, cfg = queries[k]
+        improving = _search(net, x, y, replace(cfg, direction="improving"))
+        assert _fingerprint(improving) == PINNED[k]
     refuted = 0
     for (net, x, y, cfg), pinned in zip(queries, PINNED):
         verdict = dominates(net, x, y, cfg)
