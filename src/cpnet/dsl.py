@@ -403,10 +403,13 @@ def parse_query(net: CPNet, text: str) -> tuple[Outcome, Outcome]:
     return parse_outcome(net, left), parse_outcome(net, right)
 
 
-def _split_csv_line(line: str) -> list[tuple[str, int]]:
+def _split_csv_line(
+    line: str, line_no: int, diagnostics: list[SourceDiagnostic]
+) -> list[tuple[str, int]] | None:
     """Split one comma-separated record; cells may be double-quoted.
 
-    Returns (cell text, 0-based column offset of the cell start).
+    Returns (cell text, 0-based column offset of the cell start), or None
+    after reporting text that follows a closing quote.
     """
     cells: list[tuple[str, int]] = []
     i = 0
@@ -427,8 +430,11 @@ def _split_csv_line(line: str) -> list[tuple[str, int]]:
                 buf.append(line[i])
                 i += 1
             cells.append(("".join(buf), start))
-            while i < n and line[i] != ",":
+            while i < n and line[i].isspace():
                 i += 1
+            if i < n and line[i] != ",":
+                diagnostics.append(SourceDiagnostic(line_no, i + 1, "text after a closing quote"))
+                return None
         else:
             end = line.find(",", i)
             if end == -1:
@@ -453,9 +459,11 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        cells = _split_csv_line(raw)
+        cells = _split_csv_line(raw, line_no, diagnostics)
+        if cells is None:
+            return rows, diagnostics
         columns = [c for c, _ in cells]
-        if not columns or columns[0] != "id":
+        if columns[0] != "id":
             diagnostics.append(SourceDiagnostic(line_no, 1, "header must start with 'id'"))
             return rows, diagnostics
         wanted = set(net.names)
@@ -485,7 +493,9 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
         raw = lines[line_no - 1]
         if not raw.strip():
             continue
-        cells = _split_csv_line(raw)
+        cells = _split_csv_line(raw, line_no, diagnostics)
+        if cells is None:
+            continue
         if len(cells) != len(columns):
             diagnostics.append(
                 SourceDiagnostic(

@@ -92,13 +92,20 @@ class CPNet:
     """
 
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
-        self.variables: tuple[Variable, ...] = tuple(
-            Variable(v.name, tuple(v.domain), tuple(v.parents)) for v in variables
-        )
-        self.tables: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]] = MappingProxyType({
-            owner: MappingProxyType({tuple(cond): tuple(ranking) for cond, ranking in rows.items()})
-            for owner, rows in tables.items()
-        })
+        try:
+            self.variables: tuple[Variable, ...] = tuple(
+                Variable(v.name, tuple(v.domain), tuple(v.parents)) for v in variables
+            )
+            self.tables: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]] = (
+                MappingProxyType({
+                    owner: MappingProxyType(
+                        {tuple(cond): tuple(ranking) for cond, ranking in rows.items()}
+                    )
+                    for owner, rows in tables.items()
+                })
+            )
+        except (AttributeError, TypeError) as exc:  # not iterable, not a mapping
+            raise CPNetError(f"malformed net input: {exc}") from None
         self._report: ValidationReport | None = None
         self._index: dict[str, int] = {}
         self._topo: tuple[str, ...] = ()

@@ -14,7 +14,7 @@ tests every layer, deepest first, so the first winner is the deepest one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dsl import CatalogRow
 from .model import CPNet, Outcome
@@ -41,7 +41,9 @@ class _Pass:
 def _layers(net: CPNet, rows: list[CatalogRow], cfg: SearchConfig, front_only: bool) -> _Pass:
     """The rank-ordered dominance pass over the rows' unique outcomes; ties
     in rank keep first appearance.  With ``front_only`` only layer 0 is
-    scanned, giving at most two layers."""
+    scanned, giving at most two layers.  The pass reads verdicts only, so it
+    builds no witnesses."""
+    cfg = replace(cfg, want_witness=False)
     core, codes = _compiled(net, *(row.outcome for row in rows))
     found = _Pass({}, [], {}, [], 0)
     rank: dict[Outcome, int] = {}

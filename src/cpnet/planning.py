@@ -25,6 +25,7 @@ from .model import (
     Flip,
     FlipSequence,
     Outcome,
+    _check_direction,
 )
 
 Proposition = tuple[str, str]  # (variable, value)
@@ -73,8 +74,7 @@ def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
     to the next more-preferred value, worsening ones mirror that.
     """
     net._require_valid()
-    if direction not in (IMPROVING, WORSENING):
-        raise CPNetError(f"direction must be improving or worsening, got {direction!r}")
+    _check_direction(direction)
     operators: list[StripsOperator] = []
     for v in net.variables:
         for cond, ranking in net.tables[v.name].items():

@@ -3,7 +3,10 @@
 The engine answers "does the net entail x > y?" by depth-first search for a
 flipping sequence, either upward from y (improving), downward from x
 (worsening), or both at once with a deterministic strict alternation that
-concludes when the two frontiers meet.
+concludes when the two frontiers meet.  The flipping sequence is the proof,
+and the DFS stack already holds it: a witness is the path of frames from the
+start to the node that hit, and at a frontier meeting the other side's stack
+down to the met node, reversed (see ``_Searcher``).
 
 Completeness-preserving machinery:
 
@@ -443,13 +446,14 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
 
 
 class _Frame:
-    __slots__ = ("key", "children", "failed", "undo")
+    __slots__ = ("key", "children", "failed", "move")
 
-    def __init__(self, key: int, children: list[tuple[int, int]], undo: tuple[int, int] | None):
+    def __init__(self, key: int, children: list[tuple[int, int]],
+                 move: tuple[int, int, int] | None):
         self.key = key
         self.children = iter(children)  # (position, value); resumes where it stopped
         self.failed = False  # a tried child's subtree was exhausted
-        self.undo = undo  # (position, value) that restores the parent outcome
+        self.move = move  # (position, old value, new value) that made this outcome
 
 
 _FOUND = "found"
@@ -472,6 +476,13 @@ class _Searcher:
     A flip of ``p`` moves the parent rows of its children only, so ``movable``
     and ``reach`` change at ``p`` and its children, ``unfixed`` and
     ``frontier`` at ``p`` and its ancestors.
+
+    Each frame keeps the move that made it, so the stack is the path from the
+    start and the witness is read off it (``path_to``): the frames' moves,
+    then the move onto the hit.  At a frontier meeting the met node is always
+    on the other side's stack: every cut preserves completeness from any
+    node, so a node whose subtree was exhausted cannot reach its side's goal,
+    and the meeting shows that this one does.
     """
 
     def __init__(self, core: _Core, start: list[int], goal: list[int], direction: str,
@@ -482,7 +493,7 @@ class _Searcher:
         self.goal = goal
         self.rows = rows = core.rows(vals)
         start_key = sum(map(operator.mul, vals, core.stride))
-        goal_key = sum(map(operator.mul, goal, core.stride))
+        self.goal_key = sum(map(operator.mul, goal, core.stride))
         movable = reach = unfixed = frontier = 0
         child_mask = core.child_mask
         for p in range(len(vals) - 1, -1, -1):
@@ -498,17 +509,16 @@ class _Searcher:
             elif value != goal[p]:
                 unfixed |= bit
                 frontier |= bit
-        self.start_key, self.goal_key = start_key, goal_key
         self.movable, self.reach, self.unfixed, self.frontier = movable, reach, unfixed, frontier
         self.direction = direction
         self.cfg = cfg
         self.committed = core.committed(cfg)
         self.visited: set[int] = {start_key}
-        self.came_from: dict[int, tuple[int, int, int, int]] = {}
         self.stack: list[_Frame] = [_Frame(start_key, self.candidates(), None)]
         self.expansions = 1  # the root expansion above
         self.backtracks = 0
         self.hit: int | None = None
+        self.hit_move: tuple[int, int, int] | None = None  # the move onto ``hit``
 
     def flip(self, p: int, value: int) -> None:
         core, vals, rows, table, goal = self.core, self.vals, self.rows, self.table, self.goal
@@ -598,13 +608,11 @@ class _Searcher:
                     frame.failed = False
                 if is_new:
                     visited.add(child)
-                    if self.cfg.want_witness:
-                        self.came_from[child] = (frame.key, p, old, value)
                 if hit:
-                    self.hit = child
+                    self.hit, self.hit_move = child, (p, old, value)
                     return _FOUND
                 self.flip(p, value)
-                stack.append(_Frame(child, self.candidates(), (p, old)))
+                stack.append(_Frame(child, self.candidates(), (p, old, value)))
                 self.expansions += 1
                 return _EXPANDED
             if self.committed:
@@ -613,18 +621,20 @@ class _Searcher:
                 return _EXHAUSTED
             stack.pop()
             if stack:
-                self.flip(*frame.undo)
+                p, old, _ = frame.move
+                self.flip(p, old)
                 stack[-1].failed = True
         return _EXHAUSTED
 
     def path_to(self, key: int) -> list[Flip]:
-        """The flips from the start to ``key`` via first-discovery parents."""
-        flips = []
-        while key != self.start_key:
-            key, p, old, new = self.came_from[key]
-            flips.append(self.core.flip(p, old, new, self.direction))
-        flips.reverse()
-        return flips
+        """The flips from the start to ``key``, read off the stack: ``key``
+        is the hit, reached from the top frame, or the key of a frame."""
+        moves = [frame.move for frame in self.stack[1:]]
+        if key == self.hit:
+            moves.append(self.hit_move)
+        else:
+            del moves[[frame.key for frame in self.stack].index(key):]
+        return [self.core.flip(p, old, new, self.direction) for p, old, new in moves]
 
 
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
@@ -662,10 +672,8 @@ def _flip_search(
     core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
 ) -> Verdict:
     """The flip search proper, from the encoded outcomes."""
-    stats = SearchStats()
     if xs == ys:
-        stats.decided_by = "equal"
-        return Verdict(NOT_DOMINATED, stats=stats)
+        return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
 
     direction = cfg.direction
     if direction == BIDIRECTIONAL and core.committed(cfg):
@@ -677,40 +685,38 @@ def _flip_search(
         searchers.append(_Searcher(core, xs, ys, WORSENING, cfg))
     bidirectional = len(searchers) == 2
 
-    def snapshot(decided: str) -> SearchStats:
-        for side in searchers:  # called once, as the search returns
-            stats.expansions += side.expansions
-            stats.backtracks += side.backtracks
-        stats.direction_decided = decided
-        stats.decided_by = "budget" if decided == "none" else "search"
-        return stats
-
-    def build_witness(side: _Searcher) -> FlipSequence | None:
-        if not cfg.want_witness:
-            return None
-        meet = side.hit
-        assert meet is not None
-        if not bidirectional or meet == side.goal_key:
-            return FlipSequence(y if side.direction == IMPROVING else x, tuple(side.path_to(meet)))
-        # Frontier meeting: improving path y -> meet plus the reverse of the
-        # worsening path x -> meet, emitted as one improving chain y -> x.
-        down = [f.reversed() for f in reversed(searchers[1].path_to(meet))]
-        return FlipSequence(y, tuple(searchers[0].path_to(meet) + down))
-
     active = 0
     total = len(searchers)  # one root expansion each
     while True:
         side = searchers[active]
-        other = searchers[1 - active].visited if bidirectional else None
         if cfg.budget is not None and total >= cfg.budget:
-            return Verdict(BUDGET_EXHAUSTED, stats=snapshot("none"))
-        outcome = side.advance(other)
-        if outcome == _EXPANDED:
-            total += 1
-        if outcome == _FOUND:
-            witness = build_witness(side)
-            return Verdict(DOMINATES, witness=witness, stats=snapshot(side.direction))
-        if outcome == _EXHAUSTED:
-            return Verdict(NOT_DOMINATED, stats=snapshot(side.direction))
+            kind, decided = BUDGET_EXHAUSTED, "none"
+            break
+        outcome = side.advance(searchers[1 - active].visited if bidirectional else None)
+        if outcome != _EXPANDED:
+            kind = DOMINATES if outcome == _FOUND else NOT_DOMINATED
+            decided = side.direction
+            break
+        total += 1
         if bidirectional:
             active = 1 - active
+
+    stats = SearchStats(
+        sum(s.expansions for s in searchers),
+        sum(s.backtracks for s in searchers),
+        decided,
+        "budget" if kind == BUDGET_EXHAUSTED else "search",
+    )
+    witness = None
+    if kind == DOMINATES and cfg.want_witness:
+        meet = side.hit
+        if not bidirectional or meet == side.goal_key:
+            start = y if side.direction == IMPROVING else x
+            witness = FlipSequence(start, tuple(side.path_to(meet)))
+        else:
+            # Frontier meeting: improving path y -> meet plus the reverse of
+            # the worsening path x -> meet, emitted as one improving chain.
+            up, down = searchers
+            back = [f.reversed() for f in reversed(down.path_to(meet))]
+            witness = FlipSequence(y, tuple(up.path_to(meet) + back))
+    return Verdict(kind, witness, stats)

@@ -251,6 +251,31 @@ def test_criterion_2_oracle_equivalence(instance_set):
     )
 
 
+def test_witnesses_verify_under_every_cut():
+    """Criterion 2 builds no witnesses.  On a slice of its nets and a seeded
+    sample of their pairs, every positive of the search alone and of
+    ``dominates``, under each heuristic combination and direction, carries a
+    witness that replays."""
+    rng = random.Random(2024)
+    queries = []
+    for net in _instance_nets()[9::16]:
+        pairs = all_pairs(net)
+        queries += [(net, x, y) for x, y in rng.sample(pairs, min(len(pairs), 16))]
+    positives = 0
+    for flags in itertools.product([False, True], repeat=5):
+        for direction in ALL_DIRECTIONS:
+            cfg = SearchConfig(direction, *flags)
+            for query in (_search, dominates):
+                for net, x, y in queries:
+                    verdict = query(net, x, y, cfg)
+                    if verdict.kind == DOMINATES:
+                        positives += 1
+                        assert verify_witness(net, x, y, verdict.witness), (
+                            net.names, x.values, y.values, query.__name__, cfg,
+                        )
+    assert positives > 10000
+
+
 # -- criterion 3: backtrack-free classes --------------------------------------
 
 

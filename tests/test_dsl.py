@@ -227,6 +227,34 @@ class TestCatalog:
         assert not diagnostics
         assert rows[0].identifier == "p,1"
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("name,A,B\np1,a,b\n", 1, 1, "header must start with 'id'"),
+            ("id,A,B,C\np1,a,b,c\n", 1, 8, "unknown column 'C'"),
+            ("id,A,B,A\np1,a,b,a\n", 1, 1, "duplicate header column"),
+            ("id,A,B\np1,a\n", 2, 1, "expected 3 cells, got 2"),
+            ("id,A,B\n,a,b\n", 2, 1, "empty id"),
+            ("", 1, 1, "empty catalog (missing header)"),
+            ('id,A,B\n"p1"x,a,b\n', 2, 5, "text after a closing quote"),
+            ('id,"A"B,B\np1,a,b\n', 1, 7, "text after a closing quote"),
+        ],
+    )
+    def test_positioned_diagnostics(self, chain2, text, line, column, message):
+        rows, diagnostics = parse_catalog(chain2, text)
+        assert rows == []
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [(line, column, message)]
+
+    def test_text_after_closing_quote_skips_only_its_row(self, chain2):
+        rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p1"x,a,b\n"p2" ,abar,b\n')
+        assert [str(d) for d in diagnostics] == ["2:5: error: text after a closing quote"]
+        assert [r.identifier for r in rows] == ["p2"]
+
+    def test_doubled_quote_inside_quoted_cell(self, chain2):
+        rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p""1",a,b\n')
+        assert not diagnostics
+        assert rows[0].identifier == 'p"1'
+
     def test_round_trip(self, chain3):
         text = "id,A,B,C\nx1,a,b,c\nx2,abar,bbar,cbar\n"
         rows, diagnostics = parse_catalog(chain3, text)

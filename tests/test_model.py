@@ -159,6 +159,25 @@ class TestValidate:
         monkeypatch.undo()
         assert validate(net).ok
 
+    @pytest.mark.parametrize(
+        "variables, tables",
+        [
+            ([Variable("A", 5)], {"A": {(): ("a", "b")}}),
+            ([Variable("A", ("a", "b"), 5)], {"A": {(): ("a", "b")}}),
+            ([Variable("A", ("a", "b"))], {"A": {5: ("a", "b")}}),
+            ([Variable("A", ("a", "b"))], {"A": {(): 5}}),
+            ([Variable("A", ("a", "b"))], {"A": [((), ("a", "b"))]}),
+            ([Variable("A", ("a", "b"))], [("A", {(): ("a", "b")})]),
+            (["A"], {"A": {(): ("a", "b")}}),
+            (5, {}),
+        ],
+        ids=["domain", "parents", "condition", "ranking", "rows", "tables", "variable",
+             "variables"],
+    )
+    def test_malformed_constructor_input_raises_cpnet_error(self, variables, tables):
+        with pytest.raises(CPNetError, match="malformed net input"):
+            CPNet(variables, tables)
+
     def test_validated_net_is_frozen(self, chain2):
         with pytest.raises(TypeError):
             chain2.variables[0] = Variable("Z", ("z", "zbar"))

@@ -11,6 +11,7 @@ from cpnet import (
     pareto_front,
     sort_catalog,
 )
+from cpnet.search import _Searcher
 from helpers import all_pairs, outcome, random_net
 
 
@@ -73,6 +74,15 @@ class TestParetoFront:
         for loser, winner in report.dominated:
             assert dominates(chain3, by_id[winner], by_id[loser]).kind == DOMINATES
         assert not (set(report.nondominated) & {l for l, _ in report.dominated})
+
+    def test_pass_builds_no_witness(self, chain3, monkeypatch):
+        def refuse(self, key):
+            raise AssertionError("the catalog pass built a witness")
+
+        monkeypatch.setattr(_Searcher, "path_to", refuse)
+        rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(chain3))]
+        assert pareto_front(chain3, rows).dominated
+        assert len(sort_catalog(chain3, rows)) > 1
 
     def test_equal_rank_pair_needs_no_search(self, chain3):
         rows = _rows(

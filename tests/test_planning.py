@@ -42,6 +42,10 @@ class TestToStrips:
         assert len(to_strips(chain2, "improving")) == 3
         assert len(to_strips(chain2, "worsening")) == 3
 
+    def test_unknown_direction_rejected(self, chain2):
+        with pytest.raises(CPNetError, match="direction must be one of"):
+            to_strips(chain2, "sideways")
+
     def test_worsening_mirrors(self, chain2):
         ops = {op.name for op in to_strips(chain2, "worsening")}
         assert "flip-A-a-to-abar" in ops
