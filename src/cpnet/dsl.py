@@ -406,20 +406,28 @@ def parse_query(net: CPNet, text: str) -> tuple[Outcome, Outcome]:
 def _split_csv_line(
     line: str, line_no: int, diagnostics: list[SourceDiagnostic]
 ) -> list[tuple[str, int]] | None:
-    """Split one comma-separated record; cells may be double-quoted.
+    """Split one comma-separated record; cells may be double-quoted, and a
+    quote after leading whitespace still opens a quoted cell.
 
     Returns (cell text, 0-based column offset of the cell start), or None
-    after reporting text that follows a closing quote.
+    after reporting text that follows a closing quote, or a quote that is
+    never closed.
     """
     cells: list[tuple[str, int]] = []
     i = 0
     n = len(line)
     while True:
         start = i
-        if i < n and line[i] == '"':
+        quote = i
+        while quote < n and line[quote].isspace():
+            quote += 1
+        if quote < n and line[quote] == '"':
             buf = []
-            i += 1
-            while i < n:
+            i = quote + 1
+            while True:
+                if i >= n:
+                    diagnostics.append(SourceDiagnostic(line_no, quote + 1, "unterminated quote"))
+                    return None
                 if line[i] == '"':
                     if i + 1 < n and line[i + 1] == '"':
                         buf.append('"')

@@ -74,6 +74,14 @@ class ValidationReport:
     problems: list[str]
 
 
+def _sequence(items: Iterable[str], what: str) -> tuple[str, ...]:
+    """``items`` as a tuple; a string is refused, since it would split into
+    its characters."""
+    if isinstance(items, str):
+        raise CPNetError(f"malformed net input: {what} {items!r} is a string, not a sequence")
+    return tuple(items)
+
+
 # Tables are stored per owner as {parent-value-tuple: ranking-tuple}; the key
 # is aligned with the owner's parent declaration order, the ranking lists the
 # owner's domain most-preferred first.
@@ -94,13 +102,16 @@ class CPNet:
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
         try:
             self.variables: tuple[Variable, ...] = tuple(
-                Variable(v.name, tuple(v.domain), tuple(v.parents)) for v in variables
+                Variable(v.name, _sequence(v.domain, "domain"),
+                         _sequence(v.parents, "parent list"))
+                for v in variables
             )
             self.tables: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]] = (
                 MappingProxyType({
-                    owner: MappingProxyType(
-                        {tuple(cond): tuple(ranking) for cond, ranking in rows.items()}
-                    )
+                    owner: MappingProxyType({
+                        _sequence(cond, "condition"): _sequence(ranking, "ranking")
+                        for cond, ranking in rows.items()
+                    })
                     for owner, rows in tables.items()
                 })
             )

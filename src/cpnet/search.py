@@ -29,17 +29,21 @@ On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
 search on chains and trees of binary variables then proceeds without
 backtracking, and the brute-force oracle in this module is the reference
-that the test suite checks this against.  Such a search is one linear walk:
-the pre-check is skipped, bidirectional mode runs the improving side alone
-(complete on its own), and a walk that dead-ends stops there, since no other
-branch exists to unwind to.
+that the test suite checks this against.  Such a search is one linear walk
+(``_committed_walk``), a flat loop that flips in place and keeps no frames
+and no visited set: every flip strictly moves the rank, so no outcome
+repeats, and a walk that dead-ends stops there, since no other branch exists
+to unwind to.  The pre-check is skipped, and bidirectional mode runs the
+improving walk alone (complete on its own).
 
 A validated net is frozen, and the first query compiles it into an integer
-core (``_Core``) that is cached on the net and shared read-only by concurrent
-queries.  A searched outcome keeps its fixed suffix and extension frontier as
-bitmasks that a flip updates locally, so the rightmost extension or candidate
-is the highest set bit.  ``fixed_suffix``, ``extend_suffix`` and
-``order_flips`` read that same state; strings return only in witnesses.
+core (``_Core``) that is cached on the net and shared by concurrent queries,
+which only read it but for the witness flips it caches.  A searched outcome
+keeps its fixed suffix and extension frontier as bitmasks that a flip
+updates locally, so the rightmost extension or candidate is the highest set
+bit.  ``fixed_suffix``, ``extend_suffix`` and ``order_flips`` read that same
+state; strings return only in witnesses, whose flips the core builds once
+each and then shares (``_Core.path``).
 Every query, view and catalog pass enters the core through ``_compiled``.
 """
 
@@ -118,7 +122,7 @@ def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> frozenset[str]:
     member is a member) on which ``z`` already matches ``x``: every variable
     that neither differs from ``x`` nor has a descendant that does."""
     core, (zs, xs) = _compiled(net, z, x)
-    unfixed = _Searcher(core, zs, xs, IMPROVING, SearchConfig()).unfixed
+    _, _, _, unfixed, _ = _masks(core, core.up, zs, xs)
     return frozenset(name for p, name in enumerate(core.names) if not unfixed >> p & 1)
 
 
@@ -129,12 +133,13 @@ def extend_suffix(net: CPNet, z: Outcome, x: Outcome, direction: str) -> Flip | 
     such flip."""
     _check_direction(direction)
     core, (zs, xs) = _compiled(net, z, x)
-    state = _Searcher(core, zs, xs, direction, SearchConfig())
-    extension = state.frontier & state.reach
+    table = core.up if direction == IMPROVING else core.down
+    _, _, reach, _, frontier = _masks(core, table, zs, xs)
+    extension = frontier & reach
     if not extension:
         return None
     p = extension.bit_length() - 1
-    return core.flip(p, zs[p], xs[p], direction)
+    return core.path([(p, zs[p], xs[p])], direction)[0]
 
 
 def order_flips(
@@ -154,8 +159,9 @@ def order_flips(
     rank: dict[Flip, int] = {}
     for direction in {f.direction for f in candidates}:
         state = _Searcher(core, zs, xs, direction, cfg)
-        for k, (p, value) in enumerate(state.ordered(state.movable)):
-            rank[core.flip(p, zs[p], value, direction)] = k
+        moves = [(p, zs[p], value) for p, value in state.ordered(state.movable)]
+        for k, flip in enumerate(core.path(moves, direction)):
+            rank[flip] = k
 
     def position(flip: Flip) -> int:
         try:
@@ -342,8 +348,15 @@ class _Core:
         # mixed-radix weights that make an outcome one int key
         sizes = [len(d) for d in self.domains[:-1]]
         self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
+        # direction -> {(position, old, new): Flip}, filled by ``path``
+        self._flips: dict[str, dict] = {IMPROVING: {}, WORSENING: {}}
 
     def encode(self, values: tuple[str, ...]) -> list[int]:
+        """The value indices of an outcome, in topological order.  Raises
+        ``KeyError`` or ``TypeError`` on every outcome that
+        ``CPNet.check_outcome`` refuses."""
+        if not isinstance(values, tuple) or len(values) != len(self.codes):
+            raise TypeError("not an outcome of this net")
         return [code[values[i]] for code, i in self.codes]
 
     def committed(self, cfg: SearchConfig) -> bool:
@@ -401,9 +414,17 @@ class _Core:
                 partial |= 1 << p
         return masks
 
-    def flip(self, p: int, old: int, new: int, direction: str) -> Flip:
-        domain = self.domains[p]
-        return Flip(self.names[p], domain[old], domain[new], direction)
+    def path(self, moves: list[tuple[int, int, int]], direction: str) -> tuple[Flip, ...]:
+        """The flips of ``moves``, ``(position, old, new)`` triples; every
+        ``Flip`` the engine returns is built here.  A ``Flip`` is immutable,
+        so each one is built on its first use and then shared."""
+        built = self._flips[direction]
+        for move in moves:
+            if move not in built:
+                p, old, new = move
+                domain = self.domains[p]
+                built[move] = Flip(self.names[p], domain[old], domain[new], direction)
+        return tuple(map(built.__getitem__, moves))
 
 
 def _arcs(down: tuple, rows, size: int) -> tuple[list[int], list[int]]:
@@ -433,16 +454,44 @@ def _walk(arcs: list[int], start: int) -> int:
 
 
 def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
-    """The one way into the engine: validate the net, check every outcome
-    before anything hashes it, and return the net's core, compiled on first
-    use, with the outcomes encoded."""
+    """The one way into the engine: validate the net and return its core,
+    compiled on first use, with the outcomes checked and encoded in one
+    pass.  An outcome that does not encode is left to ``CPNet.check_outcome``,
+    which names the first problem in declaration order."""
     net._require_valid()
-    for o in outcomes:
-        net.check_outcome(o)
     core = net._core
     if core is None:
         core = net._core = _Core(net)  # one assignment of a finished core
-    return core, [core.encode(o.values) for o in outcomes]
+    try:
+        return core, [core.encode(o.values) for o in outcomes]
+    except (KeyError, TypeError):  # TypeError: not a tuple, wrong length, or unhashable
+        for o in outcomes:
+            net.check_outcome(o)
+        raise
+
+
+def _masks(core: _Core, table: tuple, vals: list[int], goal: list[int]
+           ) -> tuple[list[int], int, int, int, int]:
+    """The parent rows of ``vals`` and its search bitmasks toward ``goal``
+    under ``table`` (``core.up`` or ``core.down``): ``movable``, ``reach``,
+    ``unfixed`` and ``frontier``, as ``_Searcher`` defines them."""
+    rows = core.rows(vals)
+    movable = reach = unfixed = frontier = 0
+    child_mask = core.child_mask
+    for p in range(len(vals) - 1, -1, -1):
+        bit = 1 << p
+        value = vals[p]
+        flips = table[p][rows[p] + value]
+        if flips:
+            movable |= bit
+            if (p, goal[p]) in flips:
+                reach |= bit
+        if child_mask[p] & unfixed:
+            unfixed |= bit
+        elif value != goal[p]:
+            unfixed |= bit
+            frontier |= bit
+    return rows, movable, reach, unfixed, frontier
 
 
 class _Frame:
@@ -462,7 +511,9 @@ _EXPANDED = "expanded"
 
 
 class _Searcher:
-    """One direction of the search: DFS from ``start`` toward ``goal``.
+    """One direction of a search that may backtrack: DFS from ``start``
+    toward ``goal``.  A committed search never gets here; it runs as one
+    flat walk (``_committed_walk``).
 
     It holds the outcome of its top frame (popping a frame undoes its flip)
     and keeps these bitmasks up to date flip by flip:
@@ -478,11 +529,11 @@ class _Searcher:
     ``frontier`` at ``p`` and its ancestors.
 
     Each frame keeps the move that made it, so the stack is the path from the
-    start and the witness is read off it (``path_to``): the frames' moves,
-    then the move onto the hit.  At a frontier meeting the met node is always
-    on the other side's stack: every cut preserves completeness from any
-    node, so a node whose subtree was exhausted cannot reach its side's goal,
-    and the meeting shows that this one does.
+    start and the witness moves are read off it (``path_to``): the frames'
+    moves, then the move onto the hit.  At a frontier meeting the met node is
+    always on the other side's stack: every cut preserves completeness from
+    any node, so a node whose subtree was exhausted cannot reach its side's
+    goal, and the meeting shows that this one does.
     """
 
     def __init__(self, core: _Core, start: list[int], goal: list[int], direction: str,
@@ -491,28 +542,13 @@ class _Searcher:
         self.table = table = core.up if direction == IMPROVING else core.down
         self.vals = vals = list(start)
         self.goal = goal
-        self.rows = rows = core.rows(vals)
         start_key = sum(map(operator.mul, vals, core.stride))
         self.goal_key = sum(map(operator.mul, goal, core.stride))
-        movable = reach = unfixed = frontier = 0
-        child_mask = core.child_mask
-        for p in range(len(vals) - 1, -1, -1):
-            bit = 1 << p
-            value = vals[p]
-            flips = table[p][rows[p] + value]
-            if flips:
-                movable |= bit
-                if (p, goal[p]) in flips:
-                    reach |= bit
-            if child_mask[p] & unfixed:
-                unfixed |= bit
-            elif value != goal[p]:
-                unfixed |= bit
-                frontier |= bit
-        self.movable, self.reach, self.unfixed, self.frontier = movable, reach, unfixed, frontier
+        self.rows, self.movable, self.reach, self.unfixed, self.frontier = _masks(
+            core, table, vals, goal
+        )
         self.direction = direction
         self.cfg = cfg
-        self.committed = core.committed(cfg)
         self.visited: set[int] = {start_key}
         self.stack: list[_Frame] = [_Frame(start_key, self.candidates(), None)]
         self.expansions = 1  # the root expansion above
@@ -580,12 +616,6 @@ class _Searcher:
                 p = extension.bit_length() - 1
                 return [(p, self.goal[p])]
         live = self.movable & self.unfixed if cfg.suffix_fixing else self.movable
-        if self.committed:
-            # binary, so the rightmost movable variable has one flip
-            if not live:
-                return []
-            p = live.bit_length() - 1
-            return [self.table[p][self.rows[p] + self.vals[p]][0]]
         return self.ordered(live)
 
     def advance(self, other_visited: set[int] | None) -> str:
@@ -615,10 +645,6 @@ class _Searcher:
                 stack.append(_Frame(child, self.candidates(), (p, old, value)))
                 self.expansions += 1
                 return _EXPANDED
-            if self.committed:
-                # One child per frame, and no flip revisits an outcome, so a
-                # committed path that dead-ends has no branch left to try.
-                return _EXHAUSTED
             stack.pop()
             if stack:
                 p, old, _ = frame.move
@@ -626,15 +652,15 @@ class _Searcher:
                 stack[-1].failed = True
         return _EXHAUSTED
 
-    def path_to(self, key: int) -> list[Flip]:
-        """The flips from the start to ``key``, read off the stack: ``key``
+    def path_to(self, key: int) -> list[tuple[int, int, int]]:
+        """The moves from the start to ``key``, read off the stack: ``key``
         is the hit, reached from the top frame, or the key of a frame."""
         moves = [frame.move for frame in self.stack[1:]]
         if key == self.hit:
             moves.append(self.hit_move)
         else:
             del moves[[frame.key for frame in self.stack].index(key):]
-        return [self.core.flip(p, old, new, self.direction) for p, old, new in moves]
+        return moves
 
 
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
@@ -674,10 +700,10 @@ def _flip_search(
     """The flip search proper, from the encoded outcomes."""
     if xs == ys:
         return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
+    if core.committed(cfg):
+        return _committed_walk(core, x, y, xs, ys, cfg)
 
     direction = cfg.direction
-    if direction == BIDIRECTIONAL and core.committed(cfg):
-        direction = IMPROVING  # a committed walk is complete on its own
     searchers: list[_Searcher] = []
     if direction in (IMPROVING, BIDIRECTIONAL):
         searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg))
@@ -712,11 +738,84 @@ def _flip_search(
         meet = side.hit
         if not bidirectional or meet == side.goal_key:
             start = y if side.direction == IMPROVING else x
-            witness = FlipSequence(start, tuple(side.path_to(meet)))
+            witness = FlipSequence(start, core.path(side.path_to(meet), side.direction))
         else:
             # Frontier meeting: improving path y -> meet plus the reverse of
             # the worsening path x -> meet, emitted as one improving chain.
             up, down = searchers
-            back = [f.reversed() for f in reversed(down.path_to(meet))]
-            witness = FlipSequence(y, tuple(up.path_to(meet) + back))
+            back = [(p, new, old) for p, old, new in reversed(down.path_to(meet))]
+            witness = FlipSequence(y, core.path(up.path_to(meet) + back, IMPROVING))
+    return Verdict(kind, witness, stats)
+
+
+def _committed_walk(
+    core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
+) -> Verdict:
+    """A committed search (``_Core.committed``) as one flat loop over local
+    state: flip the first candidate in place until no variable is unfixed
+    (the outcome is the goal), none can move, or the budget runs out.
+
+    It needs no frames and no visited set, since every flip strictly moves
+    the rank and no outcome repeats.  The net is binary, so a flip sets the
+    other value, and a frontier variable that can move moves onto its goal:
+    the extension ``frontier & reach`` is ``frontier & movable``.  The mask
+    updates are those of ``_Searcher.flip``.
+    """
+    if cfg.direction == WORSENING:
+        direction, table, vals, goal = WORSENING, core.down, list(xs), ys
+    else:  # bidirectional runs the improving walk, complete on its own
+        direction, table, vals, goal = IMPROVING, core.up, list(ys), xs
+    rows, movable, _, unfixed, frontier = _masks(core, table, vals, goal)
+    fanout, touched, anc = core.fanout, core.touched, core.anc
+    child_mask, parent_mask = core.child_mask, core.parent_mask
+    budget = cfg.budget
+    moves: list[tuple[int, int, int]] = []
+    expansions = 1  # the start
+    kind = NOT_DOMINATED
+    while True:
+        if budget is not None and expansions >= budget:
+            kind = BUDGET_EXHAUSTED
+            break
+        live = frontier & movable or movable & unfixed
+        if not live:
+            break
+        p = live.bit_length() - 1
+        old = vals[p]
+        vals[p] = new = 1 - old
+        moves.append((p, old, new))
+        for c, weight in fanout[p]:
+            rows[c] += (new - old) * weight
+        for q in touched[p]:
+            if table[q][rows[q] + vals[q]]:
+                movable |= 1 << q
+            else:
+                movable &= ~(1 << q)
+        if new == goal[p]:
+            pending = 1 << p
+            while pending:
+                q = pending.bit_length() - 1
+                bit = 1 << q
+                pending ^= bit
+                if child_mask[q] & unfixed:
+                    continue
+                if vals[q] != goal[q]:
+                    frontier |= bit
+                    continue
+                unfixed &= ~bit
+                frontier &= ~bit
+                pending |= parent_mask[q]
+            if not unfixed:
+                kind = DOMINATES
+                break
+        elif not unfixed >> p & 1:
+            frontier = frontier & ~anc[p] | 1 << p
+            unfixed |= anc[p]
+        expansions += 1
+
+    cut = kind == BUDGET_EXHAUSTED
+    stats = SearchStats(expansions, 0, "none" if cut else direction,
+                        "budget" if cut else "search")
+    witness = None
+    if kind == DOMINATES and cfg.want_witness:
+        witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
     return Verdict(kind, witness, stats)

@@ -238,6 +238,10 @@ class TestCatalog:
             ("", 1, 1, "empty catalog (missing header)"),
             ('id,A,B\n"p1"x,a,b\n', 2, 5, "text after a closing quote"),
             ('id,"A"B,B\np1,a,b\n', 1, 7, "text after a closing quote"),
+            ('id,A,B\n  "p1"x,a,b\n', 2, 7, "text after a closing quote"),
+            ('id,A,B\n"p1,a,b\n', 2, 1, "unterminated quote"),
+            ('id,A,B\np1,a, "b\n', 2, 7, "unterminated quote"),
+            ('id, "A,B\np1,a,b\n', 1, 5, "unterminated quote"),
         ],
     )
     def test_positioned_diagnostics(self, chain2, text, line, column, message):
@@ -245,10 +249,23 @@ class TestCatalog:
         assert rows == []
         assert [(d.line, d.column, d.message) for d in diagnostics] == [(line, column, message)]
 
-    def test_text_after_closing_quote_skips_only_its_row(self, chain2):
-        rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p1"x,a,b\n"p2" ,abar,b\n')
-        assert [str(d) for d in diagnostics] == ["2:5: error: text after a closing quote"]
+    @pytest.mark.parametrize(
+        "bad, diagnostic",
+        [
+            ('"p1"x,a,b', "2:5: error: text after a closing quote"),
+            ('"p1,a,b', "2:1: error: unterminated quote"),
+        ],
+    )
+    def test_bad_quote_skips_only_its_row(self, chain2, bad, diagnostic):
+        rows, diagnostics = parse_catalog(chain2, f'id,A,B\n{bad}\n"p2" ,abar,b\n')
+        assert [str(d) for d in diagnostics] == [diagnostic]
         assert [r.identifier for r in rows] == ["p2"]
+
+    def test_quote_after_leading_spaces_opens_a_quoted_cell(self, chain2):
+        rows, diagnostics = parse_catalog(chain2, 'id,A,B\n "p1",a,  "b"\n')
+        assert not diagnostics
+        assert rows[0].identifier == "p1"
+        assert rows[0].outcome == outcome(chain2, "A=a,B=b")
 
     def test_doubled_quote_inside_quoted_cell(self, chain2):
         rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p""1",a,b\n')

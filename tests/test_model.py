@@ -178,6 +178,22 @@ class TestValidate:
         with pytest.raises(CPNetError, match="malformed net input"):
             CPNet(variables, tables)
 
+    @pytest.mark.parametrize(
+        "variables, tables",
+        [
+            ([Variable("A", "ab")], {"A": {(): ("a", "b")}}),
+            ([Variable("A", ("a", "b")), Variable("B", ("c", "d"), "A")],
+             {"A": {(): ("a", "b")}, "B": {("a",): ("c", "d"), ("b",): ("d", "c")}}),
+            ([Variable("A", ("a", "b")), Variable("B", ("c", "d"), ("A",))],
+             {"A": {(): ("a", "b")}, "B": {"a": ("c", "d"), ("b",): ("d", "c")}}),
+            ([Variable("A", ("a", "b"))], {"A": {(): "ba"}}),
+        ],
+        ids=["domain", "parents", "condition", "ranking"],
+    )
+    def test_string_is_not_a_sequence_of_words(self, variables, tables):
+        with pytest.raises(CPNetError, match="is a string, not a sequence"):
+            CPNet(variables, tables)
+
     def test_validated_net_is_frozen(self, chain2):
         with pytest.raises(TypeError):
             chain2.variables[0] = Variable("Z", ("z", "zbar"))

@@ -2,16 +2,19 @@
 
 import random
 
+import pytest
+
 from cpnet import (
     CatalogRow,
     SearchConfig,
     all_outcomes,
+    dominates,
     oracle_closure,
     parse_catalog,
     pareto_front,
     sort_catalog,
 )
-from cpnet.search import _Searcher
+from cpnet.search import _Core
 from helpers import all_pairs, outcome, random_net
 
 
@@ -75,14 +78,18 @@ class TestParetoFront:
             assert dominates(chain3, by_id[winner], by_id[loser]).kind == DOMINATES
         assert not (set(report.nondominated) & {l for l, _ in report.dominated})
 
-    def test_pass_builds_no_witness(self, chain3, monkeypatch):
-        def refuse(self, key):
+    @pytest.mark.parametrize("name", ["chain3", "polytree8"])  # committed, then not
+    def test_pass_builds_no_witness(self, name, request, monkeypatch):
+        net = request.getfixturevalue(name)
+        rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(net))]
+        assert dominates(net, rows[0].outcome, rows[-1].outcome).witness is not None
+
+        def refuse(self, moves, direction):
             raise AssertionError("the catalog pass built a witness")
 
-        monkeypatch.setattr(_Searcher, "path_to", refuse)
-        rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(chain3))]
-        assert pareto_front(chain3, rows).dominated
-        assert len(sort_catalog(chain3, rows)) > 1
+        monkeypatch.setattr(_Core, "path", refuse)
+        assert pareto_front(net, rows).dominated
+        assert len(sort_catalog(net, rows)) > 1
 
     def test_equal_rank_pair_needs_no_search(self, chain3):
         rows = _rows(

@@ -21,6 +21,7 @@ from cpnet import (
     dominates,
     extend_suffix,
     fixed_suffix,
+    forward_prune,
     legal_flips,
     oracle_closure,
     oracle_dominates,
@@ -355,6 +356,43 @@ def test_list_valued_outcome_is_refused(chain2, call):
         call(chain2, Outcome(["a", "b"]))
 
 
+CHILD_FIRST = """
+var B: b, bbar
+var A: a, abar
+parents B: A
+cpt A: a > abar
+cpt B | A=a: b > bbar
+cpt B | A=abar: bbar > b
+"""
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (["b", "a"], "outcome values must be a tuple"),
+        (("b",), "outcome does not match this net's variable set"),
+        (("b", "zz"), "unknown value 'zz' for variable A"),
+        ((["b"], "a"), "unknown value ['b'] for variable B"),
+        (("zz", "yy"), "unknown value 'zz' for variable B"),  # B is declared first
+    ],
+    ids=["list", "length", "unknown", "unhashable", "first-declared"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, bad, good: dominates(net, good, bad),
+        lambda net, bad, good: forward_prune(net, bad, good),
+        lambda net, bad, good: pareto_front(net, [CatalogRow("r1", good), CatalogRow("r2", bad)]),
+    ],
+    ids=["dominates", "forward_prune", "pareto_front"],
+)
+def test_bad_outcome_message(call, values, message):
+    net = parse_cpnet(CHILD_FIRST).net  # declared child first: B before A
+    with pytest.raises(CPNetError) as refused:
+        call(net, Outcome(values), Outcome(("b", "a")))
+    assert str(refused.value) == message
+
+
 class TestRank:
     def test_improving_flips_raise_the_rank(self):
         rng = random.Random(93)
@@ -419,8 +457,8 @@ def _committed_nets():
 
 
 class TestOneWalk:
-    """On committed nets bidirectional mode runs the improving walk alone,
-    and a dead end ends the search without unwinding the path."""
+    """On committed nets a search is one flat walk, outside ``_Searcher``,
+    and bidirectional mode runs the improving walk alone."""
 
     def test_bidirectional_is_the_improving_walk(self):
         improving = SearchConfig(direction="improving")
@@ -431,26 +469,37 @@ class TestOneWalk:
                 assert both.witness == one.witness
                 assert both.stats == one.stats
 
-    def test_dead_end_undoes_no_flip(self, monkeypatch):
-        flips = 0
-        real = _Searcher.flip
+    def test_committed_queries_construct_no_searcher(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("constructed a _Searcher")
 
-        def counted(self, p, value):
-            nonlocal flips
-            flips += 1
-            real(self, p, value)
+        monkeypatch.setattr(_Searcher, "__init__", refuse)
+        nets = _committed_nets()
+        for net in nets:
+            for x, y in all_pairs(net):
+                for direction in ("improving", "worsening", "bidirectional"):
+                    dominates(net, x, y, SearchConfig(direction=direction))
+        x, y = all_pairs(nets[0])[0]
+        with pytest.raises(AssertionError, match="_Searcher"):
+            _search(nets[0], x, y, SearchConfig(rightmost=False))
 
-        monkeypatch.setattr(_Searcher, "flip", counted)
-        negatives = 0
+    def test_budget_cuts_the_walk_at_exactly_its_budget(self):
+        cut = 0
         for net in _committed_nets():
             for x, y in all_pairs(net):
                 for direction in ("improving", "worsening", "bidirectional"):
-                    flips = 0
-                    verdict = dominates(net, x, y, SearchConfig(direction=direction))
-                    if verdict.kind == NOT_DOMINATED:
-                        negatives += 1
-                        assert flips == verdict.stats.expansions - 1
-        assert negatives > 1000
+                    cfg = SearchConfig(direction=direction)
+                    full = dominates(net, x, y, cfg)
+                    for budget in range(1, full.stats.expansions + 2):
+                        verdict = dominates(net, x, y, replace(cfg, budget=budget))
+                        if budget <= full.stats.expansions:
+                            assert verdict.kind == BUDGET_EXHAUSTED
+                            assert verdict.stats.expansions == budget
+                            assert verdict.stats.decided_by == "budget"
+                            cut += 1
+                        else:
+                            assert verdict == full
+        assert cut > 10000
 
 
 POLY3_TEXT = """
