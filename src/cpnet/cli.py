@@ -22,35 +22,24 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class _InputError(Exception):
-    """File or text that cannot be used; maps to exit code 2."""
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise model.CPNetError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_net(path: str) -> model.CPNet:
     result = dsl.parse_cpnet(_read_text(path))
     errors = [d for d in result.diagnostics if d.severity == "error"]
     if errors:
-        raise _InputError(
+        raise model.CPNetError(
             f"{path} failed to parse:\n" + "\n".join(str(d) for d in errors)
         )
     report = model.validate(result.net)
     if not report.ok:
-        raise _InputError(f"{path} is not a valid net:\n" + "\n".join(report.problems))
+        raise model.CPNetError(f"{path} is not a valid net:\n" + "\n".join(report.problems))
     return result.net
-
-
-def _parse_outcome(net: model.CPNet, text: str) -> model.Outcome:
-    try:
-        return dsl.parse_outcome(net, text)
-    except model.CPNetError as exc:
-        raise _InputError(str(exc)) from exc
 
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
@@ -127,8 +116,8 @@ def _cmd_best(args: argparse.Namespace) -> int:
 
 def _cmd_dominates(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
-    better = _parse_outcome(net, args.better)
-    worse = _parse_outcome(net, args.worse)
+    better = dsl.parse_outcome(net, args.better)
+    worse = dsl.parse_outcome(net, args.worse)
     verdict = search.dominates(net, better, worse, _search_config(args))
     if verdict.kind == search.DOMINATES:
         print("dominates")
@@ -154,8 +143,8 @@ def _cmd_dominates(args: argparse.Namespace) -> int:
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
-    better = _parse_outcome(net, args.better)
-    worse = _parse_outcome(net, args.worse)
+    better = dsl.parse_outcome(net, args.better)
+    worse = dsl.parse_outcome(net, args.worse)
     result = pruning.forward_prune(net, better, worse)
     for name, values in result.pruned_domains.items():
         print(f"{name}: " + ", ".join(values))
@@ -168,14 +157,14 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 def _cmd_export_strips(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
-    better = _parse_outcome(net, args.better)
-    worse = _parse_outcome(net, args.worse)
-    try:
-        problem = planning.export_planning_problem(net, better, worse, args.direction)
-    except model.CPNetError as exc:
-        raise _InputError(str(exc)) from exc
+    better = dsl.parse_outcome(net, args.better)
+    worse = dsl.parse_outcome(net, args.worse)
+    problem = planning.export_planning_problem(net, better, worse, args.direction)
     text = planning.render_planning_problem(problem)
-    Path(args.output).write_text(text, encoding="utf-8")
+    try:
+        Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise model.CPNetError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {args.output} ({len(problem.operators)} operators)")
     return EXIT_OK
 
@@ -184,7 +173,7 @@ def _load_catalog(net: model.CPNet, path: str) -> list[dsl.CatalogRow]:
     rows, diagnostics = dsl.parse_catalog(net, _read_text(path))
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
-        raise _InputError(
+        raise model.CPNetError(
             f"{path} failed to parse:\n" + "\n".join(str(d) for d in errors)
         )
     return rows
@@ -292,10 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except model.CPNetError as exc:
+    except model.CPNetError as exc:  # unusable input: a file, a net, an outcome
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

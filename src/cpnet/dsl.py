@@ -11,6 +11,15 @@ Net syntax (whitespace-insensitive, ``#`` starts a comment):
 Parsing is total: any input yields a candidate net plus positioned
 diagnostics, never an exception.  Semantic problems that need the whole net
 (cycles, missing rows) are left to :func:`cpnet.model.validate`.
+
+The parser is one flat pass.  The tokenizer runs one regex over each line, so
+a token's line and column come straight from the match, and emits plain
+``(kind, text, line, column)`` tuples.  One routine parses all three
+statements; after an error, parsing resumes at the next keyword.  The
+tokenizer also keeps one string object per distinct word: a parsed net holds
+its names and values for as long as it lives, and canonical text repeats each
+of them in every CPT row that mentions it, so sharing the string makes the
+net's memory grow with its vocabulary rather than with the length of its text.
 """
 
 from __future__ import annotations
@@ -23,16 +32,11 @@ from .model import CPNet, CPNetError, Outcome, Variable
 
 KEYWORDS = ("var", "parents", "cpt")
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[:,|=>])
-  | (?P<junk>.)
-    """,
-    re.VERBOSE,
-)
+_RESUME = ("end", *KEYWORDS)  # where the parser picks up after an error
+
+# Matched per line, so the search skips whitespace: a comment, a name, a
+# punctuation mark, or any other visible character (an error).
+_TOKEN_RE = re.compile(r"#.*|([A-Za-z_][A-Za-z0-9_]*)|([:,|=>])|(\S)")
 
 
 @dataclass(frozen=True)
@@ -68,78 +72,89 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | punct | end
-    text: str
-    line: int
-    column: int
+# A token is (kind, text, line, column).  The kind of a name is "name", of a
+# keyword or a punctuation mark its own text, and of the sentinel "end".
+_Tok = tuple[str, str, int, int]
+# A statement is (keyword, head, condition, items): the declared name, the
+# (variable, value) pairs after "|" (cpt only), and the names after ":".
+_Stmt = tuple[str, _Tok, list[tuple[_Tok, _Tok]], list[_Tok]]
 
 
-def _tokenize(text: str, diagnostics: list[SourceDiagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        chunk = match.group()
-        if kind == "name":
-            tokens.append(_Token("name", chunk, line, col))
-        elif kind == "punct":
-            tokens.append(_Token("punct", chunk, line, col))
-        elif kind == "junk":
-            diagnostics.append(
-                SourceDiagnostic(line, col, f"unexpected character {chunk!r}")
-            )
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(text: str, diagnostics: list[SourceDiagnostic]) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    words: dict[str, str] = {}
+    lines = text.split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        for match in _TOKEN_RE.finditer(line):
+            group = match.lastindex
+            if group is None:  # a comment
+                continue
+            word, column = match[group], match.start() + 1
+            if group == 1:
+                word = words.setdefault(word, word)
+                kind = word if word in KEYWORDS else "name"
+            elif group == 2:
+                kind = word
+            else:
+                diagnostics.append(
+                    SourceDiagnostic(line_no, column, f"unexpected character {word!r}")
+                )
+                continue
+            tokens.append((kind, word, line_no, column))
+    tokens.append(("end", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
-
-    def at_keyword(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text in KEYWORDS
-
-    def skip_to_keyword(self) -> None:
-        while self.peek().kind != "end" and not self.at_keyword():
-            self.take()
+def _error(tok: _Tok, message: str, diagnostics: list[SourceDiagnostic]) -> None:
+    diagnostics.append(SourceDiagnostic(tok[2], tok[3], message))
 
 
-@dataclass
-class _VarStmt:
-    name: _Token
-    values: list[_Token]
-
-
-@dataclass
-class _ParentsStmt:
-    name: _Token
-    parents: list[_Token]
-
-
-@dataclass
-class _CptStmt:
-    name: _Token
-    condition: list[tuple[_Token, _Token]]  # (variable token, value token)
-    ranking: list[_Token]
+def _statement(
+    tokens: list[_Tok], pos: int, diagnostics: list[SourceDiagnostic]
+) -> tuple[_Stmt | None, int]:
+    """Parse the statement whose keyword is at ``pos``: the statement (None
+    after an error) and the position of the next unread token."""
+    keyword, head = tokens[pos][0], tokens[pos + 1]
+    if head[0] != "name":
+        _error(head, "expected a variable name", diagnostics)
+        return None, pos + 1
+    pos += 2
+    condition: list[tuple[_Tok, _Tok]] = []
+    if keyword == "cpt" and tokens[pos][0] == "|":
+        while True:
+            variable = tokens[pos + 1]
+            if variable[0] != "name":
+                _error(variable, "expected a condition variable", diagnostics)
+                return None, pos + 1
+            if tokens[pos + 2][0] != "=":
+                _error(tokens[pos + 2], "expected '='", diagnostics)
+                return None, pos + 2
+            value = tokens[pos + 3]
+            if value[0] != "name":
+                _error(value, "expected a condition value", diagnostics)
+                return None, pos + 3
+            condition.append((variable, value))
+            pos += 4
+            if tokens[pos][0] != ",":
+                break
+    if tokens[pos][0] != ":":
+        _error(tokens[pos], "expected ':'", diagnostics)
+        return None, pos
+    items: list[_Tok] = []
+    if keyword != "parents" or tokens[pos + 1][0] == "name":
+        separator = ">" if keyword == "cpt" else ","
+        while True:
+            item = tokens[pos + 1]
+            if item[0] != "name":
+                _error(item, "expected a name", diagnostics)
+                return None, pos + 1
+            items.append(item)
+            pos += 2
+            if tokens[pos][0] != separator:
+                break
+    else:
+        pos += 1
+    return (keyword, head, condition, items), pos
 
 
 def parse_cpnet(text: str) -> ParseResult:
@@ -151,162 +166,77 @@ def parse_cpnet(text: str) -> ParseResult:
     :func:`cpnet.model.validate` for the net-level rules.
     """
     diagnostics: list[SourceDiagnostic] = []
-    cursor = _Cursor(_tokenize(text, diagnostics))
-    stmts: list[object] = []
-
-    def error(tok: _Token, message: str) -> None:
-        diagnostics.append(SourceDiagnostic(tok.line, tok.column, message))
-
-    def expect_name(what: str) -> _Token | None:
-        tok = cursor.peek()
-        if tok.kind == "name" and not cursor.at_keyword():
-            return cursor.take()
-        error(tok, f"expected {what}")
-        return None
-
-    def expect_punct(symbol: str) -> bool:
-        tok = cursor.peek()
-        if tok.kind == "punct" and tok.text == symbol:
-            cursor.take()
-            return True
-        error(tok, f"expected {symbol!r}")
-        return False
-
-    def parse_name_list(separator: str) -> list[_Token] | None:
-        names: list[_Token] = []
-        first = expect_name("a name")
-        if first is None:
-            return None
-        names.append(first)
-        while cursor.peek().kind == "punct" and cursor.peek().text == separator:
-            cursor.take()
-            nxt = expect_name("a name")
-            if nxt is None:
-                return None
-            names.append(nxt)
-        return names
-
-    while cursor.peek().kind != "end":
-        if not cursor.at_keyword():
-            error(cursor.peek(), "expected 'var', 'parents', or 'cpt'")
-            cursor.skip_to_keyword()
-            continue
-        keyword = cursor.take()
-        if keyword.text == "var":
-            name = expect_name("a variable name")
-            if name is None or not expect_punct(":"):
-                cursor.skip_to_keyword()
+    tokens = _tokenize(text, diagnostics)
+    stmts: list[_Stmt] = []
+    pos = 0
+    while tokens[pos][0] != "end":
+        if tokens[pos][0] in KEYWORDS:
+            stmt, pos = _statement(tokens, pos, diagnostics)
+            if stmt is not None:
+                stmts.append(stmt)
                 continue
-            values = parse_name_list(",")
-            if values is None:
-                cursor.skip_to_keyword()
-                continue
-            stmts.append(_VarStmt(name, values))
-        elif keyword.text == "parents":
-            name = expect_name("a variable name")
-            if name is None or not expect_punct(":"):
-                cursor.skip_to_keyword()
-                continue
-            parents: list[_Token] = []
-            if cursor.peek().kind == "name" and not cursor.at_keyword():
-                got = parse_name_list(",")
-                if got is None:
-                    cursor.skip_to_keyword()
-                    continue
-                parents = got
-            stmts.append(_ParentsStmt(name, parents))
-        else:  # cpt
-            name = expect_name("a variable name")
-            if name is None:
-                cursor.skip_to_keyword()
-                continue
-            condition: list[tuple[_Token, _Token]] = []
-            if cursor.peek().kind == "punct" and cursor.peek().text == "|":
-                cursor.take()
-                while True:
-                    cond_var = expect_name("a condition variable")
-                    if cond_var is None or not expect_punct("="):
-                        condition = []
-                        break
-                    cond_val = expect_name("a condition value")
-                    if cond_val is None:
-                        condition = []
-                        break
-                    condition.append((cond_var, cond_val))
-                    if cursor.peek().kind == "punct" and cursor.peek().text == ",":
-                        cursor.take()
-                        continue
-                    break
-                if not condition:
-                    cursor.skip_to_keyword()
-                    continue
-            if not expect_punct(":"):
-                cursor.skip_to_keyword()
-                continue
-            ranking = parse_name_list(">")
-            if ranking is None:
-                cursor.skip_to_keyword()
-                continue
-            stmts.append(_CptStmt(name, condition, ranking))
-
+        else:
+            _error(tokens[pos], "expected 'var', 'parents', or 'cpt'", diagnostics)
+        while tokens[pos][0] not in _RESUME:  # recover at the next keyword
+            pos += 1
     return ParseResult(_assemble(stmts, diagnostics), diagnostics)
 
 
-def _assemble(stmts: list[object], diagnostics: list[SourceDiagnostic]) -> CPNet:
-    def error(tok: _Token, message: str) -> None:
-        diagnostics.append(SourceDiagnostic(tok.line, tok.column, message))
+def _assemble(stmts: list[_Stmt], diagnostics: list[SourceDiagnostic]) -> CPNet:
+    def error(tok: _Tok, message: str) -> None:
+        _error(tok, message, diagnostics)
 
     domains: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
 
-    for stmt in stmts:
-        if isinstance(stmt, _VarStmt):
-            name = stmt.name.text
+    for keyword, head, _, items in stmts:
+        if keyword == "var":
+            name = head[1]
             if name in domains:
-                error(stmt.name, f"duplicate declaration of variable {name}")
+                error(head, f"duplicate declaration of variable {name}")
                 continue
-            values = tuple(t.text for t in stmt.values)
+            values = tuple(tok[1] for tok in items)
             seen: set[str] = set()
-            for tok in stmt.values:
-                if tok.text in seen:
-                    error(tok, f"duplicate value {tok.text} for variable {name}")
-                seen.add(tok.text)
+            for tok in items:
+                if tok[1] in seen:
+                    error(tok, f"duplicate value {tok[1]} for variable {name}")
+                seen.add(tok[1])
             domains[name] = values
             order.append(name)
 
-    for stmt in stmts:
-        if isinstance(stmt, _ParentsStmt):
-            name = stmt.name.text
+    for keyword, head, _, items in stmts:
+        if keyword == "parents":
+            name = head[1]
             if name not in domains:
-                error(stmt.name, f"unknown variable {name}")
+                error(head, f"unknown variable {name}")
                 continue
             if name in parents:
-                error(stmt.name, f"duplicate parents declaration for {name}")
+                error(head, f"duplicate parents declaration for {name}")
                 continue
             plist: list[str] = []
-            for tok in stmt.parents:
-                if tok.text not in domains:
-                    error(tok, f"unknown variable {tok.text}")
-                elif tok.text in plist:
-                    error(tok, f"duplicate parent {tok.text} of {name}")
+            for tok in items:
+                if tok[1] not in domains:
+                    error(tok, f"unknown variable {tok[1]}")
+                elif tok[1] in plist:
+                    error(tok, f"duplicate parent {tok[1]} of {name}")
                 else:
-                    plist.append(tok.text)
+                    plist.append(tok[1])
             parents[name] = tuple(plist)
 
     tables: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {n: {} for n in order}
-    for stmt in stmts:
-        if not isinstance(stmt, _CptStmt):
+    for keyword, head, condition, items in stmts:
+        if keyword != "cpt":
             continue
-        name = stmt.name.text
+        name = head[1]
         if name not in domains:
-            error(stmt.name, f"unknown variable {name}")
+            error(head, f"unknown variable {name}")
             continue
         declared = parents.get(name, ())
         bound: dict[str, str] = {}
         bad = False
-        for var_tok, val_tok in stmt.condition:
-            cond_name = var_tok.text
+        for var_tok, val_tok in condition:
+            cond_name = var_tok[1]
             if cond_name not in domains:
                 error(var_tok, f"unknown variable {cond_name}")
                 bad = True
@@ -319,31 +249,31 @@ def _assemble(stmts: list[object], diagnostics: list[SourceDiagnostic]) -> CPNet
                 error(var_tok, f"duplicate condition on {cond_name}")
                 bad = True
                 continue
-            if val_tok.text not in domains[cond_name]:
-                error(val_tok, f"unknown value {val_tok.text} for variable {cond_name}")
+            if val_tok[1] not in domains[cond_name]:
+                error(val_tok, f"unknown value {val_tok[1]} for variable {cond_name}")
                 bad = True
                 continue
-            bound[cond_name] = val_tok.text
+            bound[cond_name] = val_tok[1]
         missing = [p for p in declared if p not in bound]
         if missing:
             error(
-                stmt.name,
+                head,
                 f"condition for {name} must bind every parent (missing {', '.join(missing)})",
             )
             bad = True
         ranking: list[str] = []
-        for tok in stmt.ranking:
-            if tok.text not in domains[name]:
-                error(tok, f"unknown value {tok.text} for variable {name}")
+        for tok in items:
+            if tok[1] not in domains[name]:
+                error(tok, f"unknown value {tok[1]} for variable {name}")
                 bad = True
             else:
-                ranking.append(tok.text)
+                ranking.append(tok[1])
         if bad:
             continue
         key = tuple(bound[p] for p in declared)
         if key in tables[name]:
             ctx = ",".join(f"{p}={v}" for p, v in zip(declared, key))
-            error(stmt.name, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else ""))
+            error(head, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else ""))
             continue
         tables[name][key] = tuple(ranking)
 
@@ -496,6 +426,10 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
     if diagnostics:
         return rows, diagnostics
 
+    # the header names every variable once: look each domain up once, and
+    # find the cell of each variable in declaration order
+    domains = [net.variable(name).domain for name in given]
+    order = [given.index(name) + 1 for name in net.names]
     seen_ids: dict[str, int] = {}
     for line_no in range(body_start + 1, len(lines) + 1):
         raw = lines[line_no - 1]
@@ -524,23 +458,19 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
                 )
             )
             continue
-        assignment: dict[str, str] = {}
         bad = False
-        for (cell, offset), column in zip(cells[1:], columns[1:]):
-            variable = net.variable(column)
-            if cell not in variable.domain:
+        for (cell, offset), column, domain in zip(cells[1:], given, domains):
+            if cell not in domain:
                 diagnostics.append(
                     SourceDiagnostic(
                         line_no, offset + 1, f"unknown value {cell!r} for variable {column}"
                     )
                 )
                 bad = True
-            else:
-                assignment[column] = cell
         if bad:
             continue
         seen_ids[identifier] = line_no
-        rows.append(CatalogRow(identifier, net.outcome(assignment)))
+        rows.append(CatalogRow(identifier, Outcome(tuple(cells[i][0] for i in order))))
     return rows, diagnostics
 
 

@@ -26,6 +26,7 @@ from .model import (
     FlipSequence,
     Outcome,
     _check_direction,
+    _targets,
 )
 
 Proposition = tuple[str, str]  # (variable, value)
@@ -182,21 +183,23 @@ def plan_to_flip_sequence(
     """Replay operator names from the initial state and emit the equivalent
     flip sequence.
 
-    Raises :class:`PlanReplayError` naming the operator and missing
-    proposition when a precondition fails, or when the final state is not the
-    goal.
+    Each flip is labelled with the direction the net gives its move at the
+    replayed state.  Raises :class:`PlanReplayError` when the initial state is
+    not an outcome of ``net``, naming the operator when a precondition fails
+    or when the net does not sanction its move there, and when the final
+    state is not the goal.
     """
     net._require_valid()
     by_name = {op.name: op for op in problem.operators}
     state = dict(problem.init)  # variable -> value
     if len(state) != len(problem.init):
         raise PlanReplayError("init binds some variable twice")
+    try:
+        start = net.outcome(state)
+    except CPNetError as exc:
+        raise PlanReplayError(f"init is not an outcome of this net: {exc}") from None
+    values = list(start.values)
     flips: list[Flip] = []
-    direction = IMPROVING
-    if problem.operators:
-        # Operator orientation tells us which kind of witness this will be.
-        sample = problem.operators[0]
-        direction = _operator_direction(net, sample)
     for name in plan:
         op = by_name.get(name)
         if op is None:
@@ -207,24 +210,21 @@ def plan_to_flip_sequence(
                     f"operator {name!r}: precondition ({variable}={value}) does not hold"
                 )
         variable, to_value = op.add
-        from_value = op.delete[1]
-        state[variable] = to_value
-        flips.append(Flip(variable, from_value, to_value, direction))
-    goal = dict(problem.goal)
-    if state != goal:
+        i = net._index.get(variable)
+        if i is not None and to_value in _targets(net, values, i, IMPROVING):
+            direction = IMPROVING
+        elif i is not None and to_value in _targets(net, values, i, WORSENING):
+            direction = WORSENING
+        else:
+            raise PlanReplayError(
+                f"operator {name!r}: the net sanctions no flip of {variable} "
+                f"to {to_value} here"
+            )
+        flips.append(Flip(variable, values[i], to_value, direction))
+        state[variable] = values[i] = to_value
+    if state != dict(problem.goal):
         raise PlanReplayError("goal not reached")
-    start = Outcome(tuple(dict(problem.init)[name] for name in net.names))
     return FlipSequence(start, tuple(flips))
-
-
-def _operator_direction(net: CPNet, op: StripsOperator) -> str:
-    variable, to_value = op.add
-    from_value = op.delete[1]
-    v = net.variable(variable)
-    context = dict(op.preconditions)
-    key = tuple(context[p] for p in v.parents)
-    ranking = net.tables[variable][key]
-    return IMPROVING if ranking.index(to_value) < ranking.index(from_value) else WORSENING
 
 
 def solve_planning_problem(problem: PlanningProblem, cap: int = 2**16) -> list[str] | None:

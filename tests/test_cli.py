@@ -59,6 +59,25 @@ class TestValidate:
         assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{bad}"],
+        ["best", "{bad}"],
+        ["dominates", "{bad}", "--better", "A=a,B=b", "--worse", "A=abar,B=b"],
+        ["pareto", "{good}", "--catalog", "{bad}"],
+        ["sort", "{good}", "--catalog", "{bad}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_undecodable_file_is_input_error(capsys, chain2_path, tmp_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"var A: a, \xe9\n")
+    code, _, err = run(capsys, *(word.format(bad=bad, good=chain2_path) for word in command))
+    assert code == 2
+    assert err.startswith(f"cannot read {bad}: ")
+
+
 class TestBest:
     def test_best(self, capsys, chain2_path):
         code, out, _ = run(capsys, "best", chain2_path)
@@ -203,6 +222,21 @@ class TestExportStrips:
         text = first.decode()
         assert "(define (domain" in text
         assert "(define (problem" in text
+
+    @pytest.mark.parametrize("target", ["missing/problem.pddl", "."])
+    def test_unwritable_output_is_input_error(self, capsys, chain2_path, tmp_path, target):
+        output = tmp_path / target
+        code, out, err = run(
+            capsys,
+            "export-strips",
+            chain2_path,
+            "--better", "A=a,B=b",
+            "--worse", "A=abar,B=b",
+            "-o", str(output),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot write {output}: ")
 
     def test_equal_outcomes_rejected(self, capsys, chain2_path, tmp_path):
         code, _, err = run(

@@ -107,6 +107,10 @@ MALFORMED = [
 ]
 
 
+HEAD = "var A: a, abar\nvar B: b, bbar\nparents B: A\n"
+MISSING_A = "condition for B must bind every parent (missing A)"
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_input_yields_positioned_error(self, text):
@@ -119,6 +123,67 @@ class TestDiagnostics:
             lines = text.splitlines()
             # end-of-input errors may point just past the final line
             assert diag.line <= max(len(lines), 1) + 1
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("var A: a, abar\n@\n", [(2, 1, "unexpected character '@'")]),
+            ("A: a\n", [(1, 1, "expected 'var', 'parents', or 'cpt'")]),
+            ("var : a\n", [(1, 5, "expected a variable name")]),
+            ("var A a, abar\n", [(1, 7, "expected ':'")]),
+            ("var A: a,\n", [(2, 1, "expected a name")]),
+            ("var A:", [(1, 7, "expected a name")]),
+            (HEAD + "cpt B | : b > bbar\n", [(4, 9, "expected a condition variable")]),
+            (HEAD + "cpt B | A a: b > bbar\n", [(4, 11, "expected '='")]),
+            (HEAD + "cpt B | A=: b > bbar\n", [(4, 11, "expected a condition value")]),
+            ("var A: a, abar\nvar A: x, y\n", [(2, 5, "duplicate declaration of variable A")]),
+            ("var A: a, a\n", [(1, 11, "duplicate value a for variable A")]),
+            (HEAD + "parents B: A\n", [(4, 9, "duplicate parents declaration for B")]),
+            (
+                "var A: a, abar\nvar B: b, bbar\nparents B: A, A\n",
+                [(3, 15, "duplicate parent A of B")],
+            ),
+            (HEAD + "cpt B | A=a, A=a: b > bbar\n", [(4, 14, "duplicate condition on A")]),
+            (
+                "var A: a, abar\ncpt A: a > abar\ncpt A: abar > a\n",
+                [(3, 5, "duplicate CPT row for A")],
+            ),
+            (
+                HEAD + "cpt B | A=a: b > bbar\ncpt B | A=a: bbar > b\n",
+                [(5, 5, "duplicate CPT row for B under A=a")],
+            ),
+            ("parents Q: \n", [(1, 9, "unknown variable Q")]),
+            ("var A: a, abar\nparents A: Q\n", [(2, 12, "unknown variable Q")]),
+            ("cpt Q: a > b\n", [(1, 5, "unknown variable Q")]),
+            (
+                HEAD + "cpt B | Q=a: b > bbar\n",
+                [(4, 9, "unknown variable Q"), (4, 5, MISSING_A)],
+            ),
+            (
+                HEAD + "cpt B | A=z: b > bbar\n",
+                [(4, 11, "unknown value z for variable A"), (4, 5, MISSING_A)],
+            ),
+            ("var A: a, abar\ncpt A: a > q\n", [(2, 12, "unknown value q for variable A")]),
+            (
+                HEAD + "cpt B | B=b: b > bbar\n",
+                [(4, 9, "B is not a parent of B"), (4, 5, MISSING_A)],
+            ),
+            (HEAD + "cpt B: b > bbar\n", [(4, 5, MISSING_A)]),
+            # an empty parent list ends the statement; the comma starts junk
+            ("var A: a, abar\nparents A:, \n", [(2, 11, "expected 'var', 'parents', or 'cpt'")]),
+            # unexpected characters come first, whatever their line
+            (
+                "var A: a\tabar  # c\n\x0c@",
+                [
+                    (2, 2, "unexpected character '@'"),
+                    (1, 10, "expected 'var', 'parents', or 'cpt'"),
+                ],
+            ),
+        ],
+    )
+    def test_positioned_diagnostics(self, text, expected):
+        result = parse_cpnet(text)
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == expected
 
     def test_parse_never_raises_on_binary_noise(self):
         rng = random.Random(5)
@@ -266,6 +331,13 @@ class TestCatalog:
         assert not diagnostics
         assert rows[0].identifier == "p1"
         assert rows[0].outcome == outcome(chain2, "A=a,B=b")
+
+    def test_variable_named_id(self):
+        net = parse_cpnet("var B: x, y\nvar id: a, b\ncpt B: x > y\ncpt id: a > b\n").net
+        rows, diagnostics = parse_catalog(net, "id,id,B\np1,b,x\n")
+        assert not diagnostics
+        assert rows[0].identifier == "p1"
+        assert rows[0].outcome == outcome(net, "B=x,id=b")
 
     def test_doubled_quote_inside_quoted_cell(self, chain2):
         rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p""1",a,b\n')

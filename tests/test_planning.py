@@ -9,8 +9,10 @@ import pytest
 from cpnet import (
     DOMINATES,
     CPNetError,
+    PlanningProblem,
     PlanReplayError,
     SearchConfig,
+    StripsOperator,
     dominates,
     export_planning_problem,
     oracle_closure,
@@ -177,6 +179,39 @@ class TestPlanReplay:
         problem = export_planning_problem(chain2, x, y, "improving")
         with pytest.raises(PlanReplayError, match="unknown operator"):
             plan_to_flip_sequence(chain2, problem, ["no_such_op"])
+
+    # chain2 with a hand-built operator that lacks its parent precondition:
+    # B: bbar -> b improves under A=a and worsens under A=abar
+    UNCONDITIONED = StripsOperator(
+        "flip-B-bbar-to-b", frozenset({("B", "bbar")}), ("B", "b"), ("B", "bbar")
+    )
+
+    def test_flips_take_their_direction_from_the_net(self, chain2):
+        for a, direction in (("a", "improving"), ("abar", "worsening")):
+            problem = PlanningProblem(
+                (), (self.UNCONDITIONED,),
+                frozenset({("A", a), ("B", "bbar")}), frozenset({("A", a), ("B", "b")}),
+            )
+            seq = plan_to_flip_sequence(chain2, problem, [self.UNCONDITIONED.name])
+            assert [f.direction for f in seq.flips] == [direction]
+            # an empty plan reads no operator at all
+            problem.goal = problem.init
+            assert plan_to_flip_sequence(chain2, problem, []).flips == ()
+
+    def test_init_must_bind_every_variable(self, chain2):
+        init = frozenset({("A", "a")})
+        problem = PlanningProblem((), (), init, init)
+        with pytest.raises(PlanReplayError, match="missing binding for B"):
+            plan_to_flip_sequence(chain2, problem, [])
+
+    def test_unsanctioned_step_names_the_operator(self, chain2):
+        onto_unknown = StripsOperator(
+            "flip-A-abar-to-z", frozenset({("A", "abar")}), ("A", "z"), ("A", "abar")
+        )
+        init = frozenset({("A", "abar"), ("B", "b")})
+        problem = PlanningProblem((), (onto_unknown,), init, init)
+        with pytest.raises(PlanReplayError, match="'flip-A-abar-to-z'"):
+            plan_to_flip_sequence(chain2, problem, [onto_unknown.name])
 
 
 class TestRouteEquivalence:
