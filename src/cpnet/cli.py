@@ -24,7 +24,7 @@ EXIT_BUDGET = 3
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
     except (OSError, UnicodeDecodeError) as exc:
         raise model.CPNetError(f"cannot read {path}: {exc}") from exc
 

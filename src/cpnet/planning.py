@@ -201,7 +201,7 @@ def plan_to_flip_sequence(
     values = list(start.values)
     flips: list[Flip] = []
     for name in plan:
-        op = by_name.get(name)
+        op = by_name.get(name) if isinstance(name, str) else None  # names are strings
         if op is None:
             raise PlanReplayError(f"unknown operator {name!r}")
         for variable, value in sorted(op.preconditions):

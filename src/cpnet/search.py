@@ -6,7 +6,7 @@ flipping sequence, either upward from y (improving), downward from x
 concludes when the two frontiers meet.  The flipping sequence is the proof,
 and the DFS stack already holds it: a witness is the path of frames from the
 start to the node that hit, and at a frontier meeting the other side's stack
-down to the met node, reversed (see ``_Searcher``).
+down to the met node, reversed (see ``_dfs``).
 
 Completeness-preserving machinery:
 
@@ -90,8 +90,11 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.direction not in (IMPROVING, WORSENING, BIDIRECTIONAL):
             raise CPNetError(f"unknown direction {self.direction!r}")
-        if self.budget is not None and self.budget < 1:
-            raise CPNetError("budget must be at least 1 when bounded")
+        if self.budget is not None:
+            if isinstance(self.budget, bool) or not isinstance(self.budget, int):
+                raise CPNetError(f"budget must be an int, not {self.budget!r}")
+            if self.budget < 1:
+                raise CPNetError("budget must be at least 1 when bounded")
 
 
 @dataclass
@@ -158,8 +161,9 @@ def order_flips(
     core, (zs, xs) = _compiled(net, z, x)
     rank: dict[Flip, int] = {}
     for direction in {f.direction for f in candidates}:
-        state = _Searcher(core, zs, xs, direction, cfg)
-        moves = [(p, zs[p], value) for p, value in state.ordered(state.movable)]
+        table = core.up if direction == IMPROVING else core.down
+        rows, movable, _, _, _ = _masks(core, table, zs, xs)
+        moves = [(p, zs[p], value) for p, value in _ordered(table, rows, zs, movable, cfg)]
         for k, flip in enumerate(core.path(moves, direction)):
             rank[flip] = k
 
@@ -473,8 +477,19 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
 def _masks(core: _Core, table: tuple, vals: list[int], goal: list[int]
            ) -> tuple[list[int], int, int, int, int]:
     """The parent rows of ``vals`` and its search bitmasks toward ``goal``
-    under ``table`` (``core.up`` or ``core.down``): ``movable``, ``reach``,
-    ``unfixed`` and ``frontier``, as ``_Searcher`` defines them."""
+    under ``table`` (``core.up`` or ``core.down``):
+
+    * ``movable``  - variables with at least one legal flip;
+    * ``reach``    - variables whose goal value is a legal flip target;
+    * ``unfixed``  - variables outside the fixed suffix: those that differ
+                     from the goal, and all their ancestors;
+    * ``frontier`` - members of ``unfixed`` with no child in it (all differ).
+
+    A flip of ``p`` moves the parent rows of its children only, so
+    ``movable`` and ``reach`` change at ``p`` and its children, ``unfixed``
+    and ``frontier`` at ``p`` and its ancestors; ``_dfs`` and
+    ``_committed_walk`` update them flip by flip.
+    """
     rows = core.rows(vals)
     movable = reach = unfixed = frontier = 0
     child_mask = core.child_mask
@@ -494,86 +509,104 @@ def _masks(core: _Core, table: tuple, vals: list[int], goal: list[int]
     return rows, movable, reach, unfixed, frontier
 
 
-class _Frame:
-    __slots__ = ("key", "children", "failed", "move")
-
-    def __init__(self, key: int, children: list[tuple[int, int]],
-                 move: tuple[int, int, int] | None):
-        self.key = key
-        self.children = iter(children)  # (position, value); resumes where it stopped
-        self.failed = False  # a tried child's subtree was exhausted
-        self.move = move  # (position, old value, new value) that made this outcome
-
-
-_FOUND = "found"
-_EXHAUSTED = "exhausted"
-_EXPANDED = "expanded"
+def _ordered(table: tuple, rows: list[int], vals: list[int], live: int,
+             cfg: SearchConfig) -> list[tuple[int, int]]:
+    """Every legal flip of the variables in ``live``, as (position, value)
+    pairs in the engine's order: rightmost (or leftmost) variable first, then
+    least-improving (or most-improving) target."""
+    flips: list[tuple[int, int]] = []
+    while live:
+        p = (live if cfg.rightmost else live & -live).bit_length() - 1
+        live ^= 1 << p
+        entry = table[p][rows[p] + vals[p]]
+        flips += entry if cfg.least_improving else entry[::-1]
+    return flips
 
 
-class _Searcher:
-    """One direction of a search that may backtrack: DFS from ``start``
-    toward ``goal``.  A committed search never gets here; it runs as one
-    flat walk (``_committed_walk``).
+def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: SearchConfig,
+         visited: set[int], stack: list, other: set[int] | None):
+    """One side of a search that may backtrack: DFS from ``start`` toward
+    ``goal`` under ``table``, a generator over local state.  A committed
+    search never gets here; it runs as one flat walk (``_committed_walk``).
 
-    It holds the outcome of its top frame (popping a frame undoes its flip)
-    and keeps these bitmasks up to date flip by flip:
+    It yields its backtrack count after each expansion, the root's first,
+    and returns ``(hit, move, backtracks)`` when a child is the goal or in
+    ``other`` (the other side's ``visited``), or ``(None, None, backtracks)``
+    once its space is exhausted.  ``visited`` and ``stack`` are the caller's,
+    so the other side can meet this one and read its path.
 
-    * ``unfixed``  - variables outside the fixed suffix: those that differ
-                     from the goal, and all their ancestors;
-    * ``frontier`` - members of ``unfixed`` with no child in it (all differ);
-    * ``movable``  - variables with at least one legal flip;
-    * ``reach``    - variables whose goal value is a legal flip target.
+    ``vals`` and ``rows`` hold the outcome of the top frame.  A frame is
+    ``(key, children, move, masks)``: the outcome's key, an iterator over its
+    candidate flips that resumes where it stopped, the move ``(position,
+    old, new)`` that made it, and its four masks (see ``_masks``).  Popping a
+    frame reverts its move and restores the masks saved below it.  Only the
+    top frame can have an exhausted child, so one flag counts backtracks.
 
-    A flip of ``p`` moves the parent rows of its children only, so ``movable``
-    and ``reach`` change at ``p`` and its children, ``unfixed`` and
-    ``frontier`` at ``p`` and its ancestors.
-
-    Each frame keeps the move that made it, so the stack is the path from the
-    start and the witness moves are read off it (``path_to``): the frames'
-    moves, then the move onto the hit.  At a frontier meeting the met node is
+    The stack is the path from the start, so the witness moves are the
+    frames' moves, then ``move``.  At a frontier meeting the met node is
     always on the other side's stack: every cut preserves completeness from
     any node, so a node whose subtree was exhausted cannot reach its side's
     goal, and the meeting shows that this one does.
     """
-
-    def __init__(self, core: _Core, start: list[int], goal: list[int], direction: str,
-                 cfg: SearchConfig):
-        self.core = core
-        self.table = table = core.up if direction == IMPROVING else core.down
-        self.vals = vals = list(start)
-        self.goal = goal
-        start_key = sum(map(operator.mul, vals, core.stride))
-        self.goal_key = sum(map(operator.mul, goal, core.stride))
-        self.rows, self.movable, self.reach, self.unfixed, self.frontier = _masks(
-            core, table, vals, goal
-        )
-        self.direction = direction
-        self.cfg = cfg
-        self.visited: set[int] = {start_key}
-        self.stack: list[_Frame] = [_Frame(start_key, self.candidates(), None)]
-        self.expansions = 1  # the root expansion above
-        self.backtracks = 0
-        self.hit: int | None = None
-        self.hit_move: tuple[int, int, int] | None = None  # the move onto ``hit``
-
-    def flip(self, p: int, value: int) -> None:
-        core, vals, rows, table, goal = self.core, self.vals, self.rows, self.table, self.goal
-        old = vals[p]
+    vals = list(start)
+    rows, movable, reach, unfixed, frontier = _masks(core, table, vals, goal)
+    stride, fanout, touched, anc = core.stride, core.fanout, core.touched, core.anc
+    child_mask, parent_mask = core.child_mask, core.parent_mask
+    extend, fix, dedup = cfg.suffix_extension, cfg.suffix_fixing, cfg.visited_dedup
+    goal_key = sum(map(operator.mul, goal, stride))
+    key = sum(map(operator.mul, vals, stride))
+    visited.add(key)
+    move = None
+    backtracks = 0
+    failed = False  # a child of the top frame was exhausted
+    while True:
+        extension = frontier & reach if extend else 0
+        if extension:
+            p = extension.bit_length() - 1
+            children = [(p, goal[p])]
+        else:
+            children = _ordered(table, rows, vals, movable & unfixed if fix else movable, cfg)
+        stack.append((key, iter(children), move, (movable, reach, unfixed, frontier)))
+        yield backtracks
+        while stack:
+            key, children, _, _ = stack[-1]
+            for p, value in children:
+                old = vals[p]
+                child = key + (value - old) * stride[p]
+                hit = child == goal_key or (other is not None and child in other)
+                if dedup and not hit and child in visited:
+                    continue  # silent dedup skip, not a tried sibling
+                if failed:
+                    backtracks += 1
+                    failed = False
+                if hit:
+                    return child, (p, old, value), backtracks
+                visited.add(child)
+                break
+            else:
+                _, _, move, _ = stack.pop()
+                if stack:
+                    p, old, new = move
+                    vals[p] = old
+                    for c, weight in fanout[p]:
+                        rows[c] += (old - new) * weight
+                    movable, reach, unfixed, frontier = stack[-1][3]
+                    failed = True
+                continue
+            break
+        else:
+            return None, None, backtracks
         vals[p] = value
-        for c, weight in core.fanout[p]:
+        for c, weight in fanout[p]:
             rows[c] += (value - old) * weight
-        movable, reach = self.movable, self.reach
-        for q in core.touched[p]:
+        for q in touched[p]:
             bit = 1 << q
             flips = table[q][rows[q] + vals[q]]
             movable = movable | bit if flips else movable & ~bit
             reach = reach | bit if (q, goal[q]) in flips else reach & ~bit
-        self.movable, self.reach = movable, reach
         if value == goal[p]:
             # p now matches: it and then its ancestors leave ``unfixed``,
             # children first, until one differs or keeps an unfixed child.
-            child_mask, parent_mask = core.child_mask, core.parent_mask
-            unfixed, frontier = self.unfixed, self.frontier
             pending = 1 << p
             while pending:
                 q = pending.bit_length() - 1
@@ -587,80 +620,12 @@ class _Searcher:
                 unfixed &= ~bit
                 frontier &= ~bit
                 pending |= parent_mask[q]
-            self.unfixed, self.frontier = unfixed, frontier
-        elif old == goal[p] and not self.unfixed >> p & 1:
+        elif old == goal[p] and not unfixed >> p & 1:
             # p now differs and had no differing descendant: it joins
             # ``unfixed`` with all its ancestors, which leave the frontier.
-            self.frontier = self.frontier & ~core.anc[p] | 1 << p
-            self.unfixed |= core.anc[p]
-
-    def ordered(self, live: int) -> list[tuple[int, int]]:
-        """Every legal flip of the variables in ``live``, in the engine's
-        order: rightmost (or leftmost) variable first, then least-improving
-        (or most-improving) target."""
-        table, rows, vals, cfg = self.table, self.rows, self.vals, self.cfg
-        flips: list[tuple[int, int]] = []
-        while live:
-            p = (live if cfg.rightmost else live & -live).bit_length() - 1
-            live ^= 1 << p
-            entry = table[p][rows[p] + vals[p]]
-            flips += entry if cfg.least_improving else entry[::-1]
-        return flips
-
-    def candidates(self) -> list[tuple[int, int]]:
-        """The children of the current outcome, as (position, value) pairs."""
-        cfg = self.cfg
-        if cfg.suffix_extension:
-            extension = self.frontier & self.reach
-            if extension:
-                p = extension.bit_length() - 1
-                return [(p, self.goal[p])]
-        live = self.movable & self.unfixed if cfg.suffix_fixing else self.movable
-        return self.ordered(live)
-
-    def advance(self, other_visited: set[int] | None) -> str:
-        """Run until one node gets expanded, the goal (or the other
-        frontier) is hit, or this side's space is exhausted."""
-        stack, vals, stride, visited = self.stack, self.vals, self.core.stride, self.visited
-        while stack:
-            frame = stack[-1]
-            for p, value in frame.children:
-                old = vals[p]
-                child = frame.key + (value - old) * stride[p]
-                is_new = child not in visited
-                hit = child == self.goal_key or (
-                    other_visited is not None and child in other_visited
-                )
-                if not is_new and self.cfg.visited_dedup and not hit:
-                    continue  # silent dedup skip, not a tried sibling
-                if frame.failed:
-                    self.backtracks += 1
-                    frame.failed = False
-                if is_new:
-                    visited.add(child)
-                if hit:
-                    self.hit, self.hit_move = child, (p, old, value)
-                    return _FOUND
-                self.flip(p, value)
-                stack.append(_Frame(child, self.candidates(), (p, old, value)))
-                self.expansions += 1
-                return _EXPANDED
-            stack.pop()
-            if stack:
-                p, old, _ = frame.move
-                self.flip(p, old)
-                stack[-1].failed = True
-        return _EXHAUSTED
-
-    def path_to(self, key: int) -> list[tuple[int, int, int]]:
-        """The moves from the start to ``key``, read off the stack: ``key``
-        is the hit, reached from the top frame, or the key of a frame."""
-        moves = [frame.move for frame in self.stack[1:]]
-        if key == self.hit:
-            moves.append(self.hit_move)
-        else:
-            del moves[[frame.key for frame in self.stack].index(key):]
-        return moves
+            frontier = frontier & ~anc[p] | 1 << p
+            unfixed |= anc[p]
+        key, move = child, (p, old, value)
 
 
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
@@ -697,54 +662,59 @@ def _search(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig) -> Verdict:
 def _flip_search(
     core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
 ) -> Verdict:
-    """The flip search proper, from the encoded outcomes."""
+    """The flip search proper, from the encoded outcomes: one ``_dfs`` walk
+    per side, advanced one expansion at a time and alternated in
+    bidirectional mode."""
     if xs == ys:
         return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
     if core.committed(cfg):
         return _committed_walk(core, x, y, xs, ys, cfg)
 
-    direction = cfg.direction
-    searchers: list[_Searcher] = []
-    if direction in (IMPROVING, BIDIRECTIONAL):
-        searchers.append(_Searcher(core, ys, xs, IMPROVING, cfg))
-    if direction in (WORSENING, BIDIRECTIONAL):
-        searchers.append(_Searcher(core, xs, ys, WORSENING, cfg))
-    bidirectional = len(searchers) == 2
+    directions = [d for d in (IMPROVING, WORSENING) if cfg.direction in (d, BIDIRECTIONAL)]
+    bidirectional = len(directions) == 2
+    visited = [set() for _ in directions]
+    stacks: list[list] = [[] for _ in directions]
+    walks = []
+    for k, direction in enumerate(directions):
+        table, start, goal = (core.up, ys, xs) if direction == IMPROVING else (core.down, xs, ys)
+        other = visited[1 - k] if bidirectional else None
+        walks.append(_dfs(core, table, start, goal, cfg, visited[k], stacks[k], other))
+    backtracks = [next(walk) for walk in walks]  # the root expansions
 
     active = 0
-    total = len(searchers)  # one root expansion each
+    total = len(walks)
     while True:
-        side = searchers[active]
         if cfg.budget is not None and total >= cfg.budget:
             kind, decided = BUDGET_EXHAUSTED, "none"
             break
-        outcome = side.advance(searchers[1 - active].visited if bidirectional else None)
-        if outcome != _EXPANDED:
-            kind = DOMINATES if outcome == _FOUND else NOT_DOMINATED
-            decided = side.direction
+        try:
+            backtracks[active] = next(walks[active])
+        except StopIteration as done:
+            hit, move, backtracks[active] = done.value
+            kind = NOT_DOMINATED if hit is None else DOMINATES
+            decided = directions[active]
             break
         total += 1
         if bidirectional:
             active = 1 - active
 
-    stats = SearchStats(
-        sum(s.expansions for s in searchers),
-        sum(s.backtracks for s in searchers),
-        decided,
-        "budget" if kind == BUDGET_EXHAUSTED else "search",
-    )
+    stats = SearchStats(total, sum(backtracks), decided,
+                        "budget" if kind == BUDGET_EXHAUSTED else "search")
     witness = None
     if kind == DOMINATES and cfg.want_witness:
-        meet = side.hit
-        if not bidirectional or meet == side.goal_key:
-            start = y if side.direction == IMPROVING else x
-            witness = FlipSequence(start, core.path(side.path_to(meet), side.direction))
+        direction = directions[active]
+        moves = [frame[2] for frame in stacks[active][1:]] + [move]
+        # the other side's root is this side's goal; a later frame is a meeting
+        met = [frame[0] for frame in stacks[1 - active]].index(hit) if bidirectional else 0
+        if not met:
+            witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
         else:
             # Frontier meeting: improving path y -> meet plus the reverse of
             # the worsening path x -> meet, emitted as one improving chain.
-            up, down = searchers
-            back = [(p, new, old) for p, old, new in reversed(down.path_to(meet))]
-            witness = FlipSequence(y, core.path(up.path_to(meet) + back, IMPROVING))
+            rest = [frame[2] for frame in stacks[1 - active][1:met + 1]]
+            up, down = (moves, rest) if direction == IMPROVING else (rest, moves)
+            back = [(p, new, old) for p, old, new in reversed(down)]
+            witness = FlipSequence(y, core.path(up + back, IMPROVING))
     return Verdict(kind, witness, stats)
 
 
@@ -759,7 +729,7 @@ def _committed_walk(
     the rank and no outcome repeats.  The net is binary, so a flip sets the
     other value, and a frontier variable that can move moves onto its goal:
     the extension ``frontier & reach`` is ``frontier & movable``.  The mask
-    updates are those of ``_Searcher.flip``.
+    updates are those of ``_dfs``.
     """
     if cfg.direction == WORSENING:
         direction, table, vals, goal = WORSENING, core.down, list(xs), ys

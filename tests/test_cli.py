@@ -1,8 +1,12 @@
 """Command-line surface: flags, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpnet.cli import main
 from helpers import FIXTURES
@@ -52,6 +56,11 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 1
         assert "2:" in err and "zzz" in err
+
+    def test_byte_order_mark_is_not_text(self, capsys, chain2_path, tmp_path):
+        net = tmp_path / "bom.cpnet"
+        net.write_bytes(b"\xef\xbb\xbf" + FIXTURES.joinpath("chain2.cpnet").read_bytes())
+        assert run(capsys, "validate", str(net)) == (0, "ok\n", "")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.cpnet")
@@ -321,6 +330,14 @@ class TestSort:
         assert code == 0
         assert out.startswith("layer 0: r1")
 
+    def test_byte_order_marks_are_not_text(self, capsys, chain2_path, tmp_path):
+        net = tmp_path / "bom.cpnet"
+        net.write_bytes(b"\xef\xbb\xbf" + FIXTURES.joinpath("chain2.cpnet").read_bytes())
+        catalog = tmp_path / "items.csv"
+        catalog.write_bytes(b"\xef\xbb\xbfid,A,B\nr1,a,b\nr2,abar,b\n")
+        code, out, err = run(capsys, "sort", str(net), "--catalog", str(catalog))
+        assert (code, out, err) == (0, "layer 0: r1\nlayer 1: r2\n", "")
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -328,3 +345,98 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys, chain2_path):
         assert main(["dominates", chain2_path, "--better", "A=a,B=b"]) == 2
+
+
+# -- fuzzing: any argv over good and bad files exits 0-3 ---------------------
+
+CHAIN3 = FIXTURES.joinpath("chain3.cpnet").read_text()
+OUTCOMES = (
+    "A=a,B=b,C=c", "A=abar,B=bbar,C=cbar", "A=a,B=bbar,C=c", "A=abar,B=b,C=cbar",
+    "A=a,B=b", "A=zz,B=b,C=c", "A=a,A=a,B=b,C=c", "D=d,A=a,B=b,C=c", "", "=", "A", ",,",
+)
+BUDGETS = ("0", "-1", "x", "1", "2", "50")
+DIRECTIONS = ("improving", "worsening", "bidirectional", "sideways")
+SEARCH_SWITCHES = (
+    "--no-suffix-fixing", "--no-suffix-extension", "--no-rightmost",
+    "--no-least-improving", "--no-dedup", "--witness", "--stats",
+)
+PATHS = ("net", "broken", "empty", "latin1", "bom", "directory", "missing",
+         "catalog", "bad_catalog", "output")
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "net": CHAIN3.encode(),
+        "broken": b"var A: a, abar\ncpt A: a > zzz\n",
+        "empty": b"",
+        "latin1": b"var A: a, \xe9\n",
+        "bom": b"\xef\xbb\xbf" + CHAIN3.encode(),
+        "catalog": b"id,A,B,C\np,a,bbar,c\nq,abar,bbar,cbar\ntop,a,b,c\np2,a,bbar,c\n",
+        "bad_catalog": b"id,A,B,C\np,a,b\np,a,b,zz\n",
+    }
+    paths = {"directory": str(root), "missing": str(root / "missing" / "file"),
+             "output": str(root / "out.strips")}
+    for name, data in contents.items():
+        (root / name).write_bytes(data)
+        paths[name] = str(root / name)
+    return paths
+
+
+def _mostly(good: tuple, bad: tuple) -> st.SearchStrategy:
+    """One of ``good`` three times in four, else one of ``bad``."""
+    return st.sampled_from((good, good, good, bad)).flatmap(st.sampled_from)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and a path, then its flags in any order, each present
+    or not, with values mostly good and sometimes bad; now and then a stray
+    word.  A path is a ``{name}`` placeholder for ``fuzz_paths``."""
+    def path(*good):
+        return _mostly(good, PATHS).map(lambda name: "{%s}" % name)
+
+    outcome = _mostly(OUTCOMES[:4], OUTCOMES[4:])
+    direction = _mostly(DIRECTIONS[:3], DIRECTIONS[3:])
+    budget = st.sampled_from(BUDGETS)
+    output = st.sampled_from(("{output}", "{directory}", "{missing}"))  # never an input
+    command = draw(st.sampled_from(
+        ("validate", "best", "dominates", "prune", "export-strips", "pareto", "sort")
+    ))
+    required, optional = {
+        "validate": ([], []),
+        "best": ([], [st.just(["--worst"])]),
+        "dominates": ([], [st.tuples(st.just("--direction"), direction),
+                           st.tuples(st.just("--budget"), budget),
+                           *(st.just([switch]) for switch in SEARCH_SWITCHES)]),
+        "prune": ([], []),
+        "export-strips": ([st.tuples(st.just("-o"), output)],
+                          [st.tuples(st.just("--direction"), direction)]),
+        "pareto": ([st.tuples(st.just("--catalog"), path("catalog", "bom"))],
+                   [st.tuples(st.just("--budget"), budget), st.just(["--json"])]),
+        "sort": ([st.tuples(st.just("--catalog"), path("catalog", "bom"))],
+                 [st.just(["--json"])]),
+    }[command]
+    if command in ("dominates", "prune", "export-strips"):
+        required += [st.tuples(st.just("--better"), outcome),
+                     st.tuples(st.just("--worse"), outcome)]
+    chosen = [draw(option) for option in required if draw(st.sampled_from(range(8)))]
+    chosen += [draw(option) for option in optional if draw(st.booleans())]
+    argv = [command, draw(path("net", "bom"))]
+    for words in draw(st.permutations(chosen)):
+        argv += words
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("-x", "--", "extra"))))
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_any_argv_exits_zero_to_three(fuzz_paths, argv):
+    argv = [word.format(**fuzz_paths) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -180,6 +180,13 @@ class TestPlanReplay:
         with pytest.raises(PlanReplayError, match="unknown operator"):
             plan_to_flip_sequence(chain2, problem, ["no_such_op"])
 
+    def test_unhashable_step_is_an_unknown_operator(self, chain2):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        problem = export_planning_problem(chain2, x, y, "improving")
+        with pytest.raises(PlanReplayError, match="unknown operator"):
+            plan_to_flip_sequence(chain2, problem, [["a"]])
+
     # chain2 with a hand-built operator that lacks its parent precondition:
     # B: bbar -> b improves under A=a and worsens under A=abar
     UNCONDITIONED = StripsOperator(

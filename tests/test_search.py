@@ -33,7 +33,8 @@ from cpnet import (
     validate,
     verify_witness,
 )
-from cpnet.search import _compiled, _search, _Searcher
+from cpnet import search
+from cpnet.search import _compiled, _search
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -457,7 +458,7 @@ def _committed_nets():
 
 
 class TestOneWalk:
-    """On committed nets a search is one flat walk, outside ``_Searcher``,
+    """On committed nets a search is one flat walk, outside ``_dfs``,
     and bidirectional mode runs the improving walk alone."""
 
     def test_bidirectional_is_the_improving_walk(self):
@@ -470,17 +471,17 @@ class TestOneWalk:
                 assert both.stats == one.stats
 
     def test_committed_queries_construct_no_searcher(self, monkeypatch):
-        def refuse(self, *args):
-            raise AssertionError("constructed a _Searcher")
+        def refuse(*args):
+            raise AssertionError("started a _dfs")
 
-        monkeypatch.setattr(_Searcher, "__init__", refuse)
+        monkeypatch.setattr(search, "_dfs", refuse)
         nets = _committed_nets()
         for net in nets:
             for x, y in all_pairs(net):
                 for direction in ("improving", "worsening", "bidirectional"):
                     dominates(net, x, y, SearchConfig(direction=direction))
         x, y = all_pairs(nets[0])[0]
-        with pytest.raises(AssertionError, match="_Searcher"):
+        with pytest.raises(AssertionError, match="_dfs"):
             _search(nets[0], x, y, SearchConfig(rightmost=False))
 
     def test_budget_cuts_the_walk_at_exactly_its_budget(self):
@@ -565,6 +566,11 @@ class TestBudget:
     def test_zero_budget_rejected(self):
         with pytest.raises(CPNetError):
             SearchConfig(budget=0)
+
+    @pytest.mark.parametrize("budget", ["3", 2.0, True])
+    def test_non_int_budget_rejected(self, budget):
+        with pytest.raises(CPNetError, match="budget must be an int"):
+            SearchConfig(budget=budget)
 
 
 class TestWitnessComposition:
