@@ -10,6 +10,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,13 +30,14 @@ def _read_text(path: str) -> str:
         raise model.CPNetError(f"cannot read {path}: {exc}") from exc
 
 
+def _require_parsed(path: str, diagnostics: list[dsl.SourceDiagnostic]) -> None:
+    if diagnostics:
+        raise model.CPNetError(f"{path} failed to parse:\n" + "\n".join(map(str, diagnostics)))
+
+
 def _load_net(path: str) -> model.CPNet:
     result = dsl.parse_cpnet(_read_text(path))
-    errors = [d for d in result.diagnostics if d.severity == "error"]
-    if errors:
-        raise model.CPNetError(
-            f"{path} failed to parse:\n" + "\n".join(str(d) for d in errors)
-        )
+    _require_parsed(path, result.diagnostics)
     report = model.validate(result.net)
     if not report.ok:
         raise model.CPNetError(f"{path} is not a valid net:\n" + "\n".join(report.problems))
@@ -93,10 +95,8 @@ def _witness_lines(net: model.CPNet, seq: model.FlipSequence) -> list[str]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     result = dsl.parse_cpnet(_read_text(args.net))
-    errors = [d for d in result.diagnostics if d.severity == "error"]
-    if errors:
-        for diagnostic in errors:
-            print(str(diagnostic), file=sys.stderr)
+    if result.diagnostics:
+        print(*result.diagnostics, sep="\n", file=sys.stderr)
         return EXIT_NEGATIVE
     report = model.validate(result.net)
     if report.ok:
@@ -171,11 +171,7 @@ def _cmd_export_strips(args: argparse.Namespace) -> int:
 
 def _load_catalog(net: model.CPNet, path: str) -> list[dsl.CatalogRow]:
     rows, diagnostics = dsl.parse_catalog(net, _read_text(path))
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise model.CPNetError(
-            f"{path} failed to parse:\n" + "\n".join(str(d) for d in errors)
-        )
+    _require_parsed(path, diagnostics)
     return rows
 
 
@@ -185,17 +181,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     cfg = search.SearchConfig(budget=args.budget)
     report = pareto.pareto_front(net, rows, cfg)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "nondominated": report.nondominated,
-                    "dominated": [list(pair) for pair in report.dominated],
-                    "undecided": [list(pair) for pair in report.undecided],
-                    "comparisons_run": report.comparisons_run,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
         print("nondominated: " + (", ".join(report.nondominated) or "(none)"))
         for loser, winner in report.dominated:

@@ -20,6 +20,11 @@ tokenizer also keeps one string object per distinct word: a parsed net holds
 its names and values for as long as it lives, and canonical text repeats each
 of them in every CPT row that mentions it, so sharing the string makes the
 net's memory grow with its vocabulary rather than with the length of its text.
+
+The catalog reader works the same way: one pass over the non-blank lines, the
+first being the header, and one regex matched at the start of each cell, whose
+start is the cell's column.  A quote after leading whitespace opens a quoted
+cell, where ``""`` is one quote.  No cell, so no id, can hold a line break.
 """
 
 from __future__ import annotations
@@ -41,15 +46,15 @@ _TOKEN_RE = re.compile(r"#.*|([A-Za-z_][A-Za-z0-9_]*)|([:,|=>])|(\S)")
 
 @dataclass(frozen=True)
 class SourceDiagnostic:
-    """A positioned message about the input text (1-based line and column)."""
+    """An error in the input text at a 1-based line and column; every
+    diagnostic is an error, so any diagnostic means the text was rejected."""
 
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not self.diagnostics
 
 
 # A token is (kind, text, line, column).  The kind of a name is "name", of a
@@ -333,116 +338,83 @@ def parse_query(net: CPNet, text: str) -> tuple[Outcome, Outcome]:
     return parse_outcome(net, left), parse_outcome(net, right)
 
 
+# Matched at each cell's start: a bare cell up to the next comma, else a quoted
+# one, whose last group is None when the closing quote is missing.  The bare
+# branch comes first because nearly every cell is bare.
+_CELL_RE = re.compile(r'(?!\s*")([^,]*)|\s*"((?:[^"]|"")*)(")?\s*')
+
+
 def _split_csv_line(
     line: str, line_no: int, diagnostics: list[SourceDiagnostic]
 ) -> list[tuple[str, int]] | None:
-    """Split one comma-separated record; cells may be double-quoted, and a
-    quote after leading whitespace still opens a quoted cell.
-
-    Returns (cell text, 0-based column offset of the cell start), or None
-    after reporting text that follows a closing quote, or a quote that is
-    never closed.
-    """
+    """Split one comma-separated record into (cell text, 0-based column of
+    the cell start), or return None after reporting a quote that is never
+    closed or text that follows a closing quote."""
     cells: list[tuple[str, int]] = []
-    i = 0
-    n = len(line)
+    match, end = _CELL_RE.match, len(line)
+    start = 0
     while True:
-        start = i
-        quote = i
-        while quote < n and line[quote].isspace():
-            quote += 1
-        if quote < n and line[quote] == '"':
-            buf = []
-            i = quote + 1
-            while True:
-                if i >= n:
-                    diagnostics.append(SourceDiagnostic(line_no, quote + 1, "unterminated quote"))
-                    return None
-                if line[i] == '"':
-                    if i + 1 < n and line[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                buf.append(line[i])
-                i += 1
-            cells.append(("".join(buf), start))
-            while i < n and line[i].isspace():
-                i += 1
-            if i < n and line[i] != ",":
-                diagnostics.append(SourceDiagnostic(line_no, i + 1, "text after a closing quote"))
-                return None
+        cell = match(line, start)
+        bare, quoted, closed = cell.groups()
+        stop = cell.end()
+        if bare is not None:  # stops at a comma or the end
+            cells.append((bare.strip(), start))
+        elif closed is None:
+            diagnostics.append(SourceDiagnostic(line_no, cell.start(2), "unterminated quote"))
+            return None
+        elif stop < end and line[stop] != ",":
+            diagnostics.append(SourceDiagnostic(line_no, stop + 1, "text after a closing quote"))
+            return None
         else:
-            end = line.find(",", i)
-            if end == -1:
-                end = n
-            cells.append((line[i:end].strip(), start))
-            i = end
-        if i >= n:
-            break
-        i += 1  # skip comma
-    return cells
+            cells.append((quoted.replace('""', '"'), start))
+        if stop == end:
+            return cells
+        start = stop + 1
 
 
 def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceDiagnostic]]:
     """Parse delimited catalog text: header ``id`` plus all variable names
-    (any order), then one record per item."""
+    (any order), then one record per item.  Blank lines are skipped."""
     net._require_valid()
     diagnostics: list[SourceDiagnostic] = []
     rows: list[CatalogRow] = []
-    lines = text.splitlines()
-    body_start = None
-    columns: list[str] = []
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        cells = _split_csv_line(raw, line_no, diagnostics)
-        if cells is None:
-            return rows, diagnostics
-        columns = [c for c, _ in cells]
-        if columns[0] != "id":
-            diagnostics.append(SourceDiagnostic(line_no, 1, "header must start with 'id'"))
-            return rows, diagnostics
-        wanted = set(net.names)
-        given = columns[1:]
-        for name, offset in cells[1:]:
-            if name not in wanted:
-                diagnostics.append(
-                    SourceDiagnostic(line_no, offset + 1, f"unknown column {name!r}")
-                )
-        for name in net.names:
-            if name not in given:
-                diagnostics.append(
-                    SourceDiagnostic(line_no, 1, f"header missing variable {name}")
-                )
-        if len(set(given)) != len(given):
-            diagnostics.append(SourceDiagnostic(line_no, 1, "duplicate header column"))
-        body_start = line_no
-        break
-    if body_start is None:
+    lines = ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip())
+    first = next(lines, None)
+    if first is None:
         diagnostics.append(SourceDiagnostic(1, 1, "empty catalog (missing header)"))
         return rows, diagnostics
+    line_no, line = first
+    header = _split_csv_line(line, line_no, diagnostics)
+    if header is None:
+        return rows, diagnostics
+    if header[0][0] != "id":
+        diagnostics.append(SourceDiagnostic(line_no, 1, "header must start with 'id'"))
+        return rows, diagnostics
+    names = net.names
+    wanted, given = set(names), [name for name, _ in header[1:]]
+    for name, offset in header[1:]:
+        if name not in wanted:
+            diagnostics.append(SourceDiagnostic(line_no, offset + 1, f"unknown column {name!r}"))
+    for name in names:
+        if name not in given:
+            diagnostics.append(SourceDiagnostic(line_no, 1, f"header missing variable {name}"))
+    if len(set(given)) != len(given):
+        diagnostics.append(SourceDiagnostic(line_no, 1, "duplicate header column"))
     if diagnostics:
         return rows, diagnostics
 
     # the header names every variable once: look each domain up once, and
     # find the cell of each variable in declaration order
     domains = [net.variable(name).domain for name in given]
-    order = [given.index(name) + 1 for name in net.names]
+    order = [given.index(name) + 1 for name in names]
     seen_ids: dict[str, int] = {}
-    for line_no in range(body_start + 1, len(lines) + 1):
-        raw = lines[line_no - 1]
-        if not raw.strip():
-            continue
-        cells = _split_csv_line(raw, line_no, diagnostics)
+    for line_no, line in lines:
+        cells = _split_csv_line(line, line_no, diagnostics)
         if cells is None:
             continue
-        if len(cells) != len(columns):
+        if len(cells) != len(header):
             diagnostics.append(
-                SourceDiagnostic(
-                    line_no, 1, f"expected {len(columns)} cells, got {len(cells)}"
-                )
+                SourceDiagnostic(line_no, 1, f"expected {len(header)} cells, got {len(cells)}")
             )
             continue
         identifier, id_offset = cells[0]
@@ -475,15 +447,20 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
 
 
 def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
-    """Deterministic catalog text (id column first, variables in declaration order)."""
+    """Deterministic catalog text (id column first, variables in declaration
+    order) that :func:`parse_catalog` reads back to the same rows.
+
+    An id holding a comma or a quote, or with surrounding whitespace, is
+    quoted.  The reader is line-based, so an empty id or one holding a line
+    break (anything ``str.splitlines`` splits on) raises ``CPNetError``.
+    """
     net._require_valid()
-
-    def cell(text: str) -> str:
-        if any(c in text for c in ',"\n'):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
     lines = ["id," + ",".join(net.names)]
-    for row in rows:
-        lines.append(",".join([cell(row.identifier), *row.outcome.values]))
+    for number, row in enumerate(rows, start=1):
+        text = row.identifier
+        if text.splitlines() != [text]:
+            raise CPNetError(f"row {number}: id {text!r} is empty or holds a line break")
+        if "," in text or '"' in text or text != text.strip():
+            text = '"' + text.replace('"', '""') + '"'
+        lines.append(",".join([text, *row.outcome.values]))
     return "\n".join(lines) + "\n"

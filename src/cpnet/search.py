@@ -74,6 +74,10 @@ NOT_DOMINATED = "not_dominated"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+_SWITCHES = ("suffix_fixing", "suffix_extension", "rightmost", "least_improving",
+             "visited_dedup", "want_witness")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Query-time knobs; the defaults enable everything the engine has."""
@@ -90,6 +94,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.direction not in (IMPROVING, WORSENING, BIDIRECTIONAL):
             raise CPNetError(f"unknown direction {self.direction!r}")
+        for name in _SWITCHES:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise CPNetError(f"{name} must be a bool, not {value!r}")
         if self.budget is not None:
             if isinstance(self.budget, bool) or not isinstance(self.budget, int):
                 raise CPNetError(f"budget must be an int, not {self.budget!r}")
@@ -259,8 +267,8 @@ def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> boo
 
 
 def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bool:
+    # every sanctioned flip moves the rank one way, so no outcome repeats
     values = seq.start.values
-    seen = {values}
     for flip in seq.flips:
         if flip.direction != direction:
             return False
@@ -275,9 +283,6 @@ def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bo
         nxt = list(values)
         nxt[i] = flip.to_value
         values = tuple(nxt)
-        if values in seen:
-            return False
-        seen.add(values)
     return values == goal.values
 
 
@@ -729,14 +734,16 @@ def _committed_walk(
     the rank and no outcome repeats.  The net is binary, so a flip sets the
     other value, and a frontier variable that can move moves onto its goal:
     the extension ``frontier & reach`` is ``frontier & movable``.  The mask
-    updates are those of ``_dfs``.
+    updates are those of ``_dfs``, less the one for moving a fixed variable:
+    the walk moves only unfixed ones, as ``frontier`` is a subset of
+    ``unfixed``.
     """
     if cfg.direction == WORSENING:
         direction, table, vals, goal = WORSENING, core.down, list(xs), ys
     else:  # bidirectional runs the improving walk, complete on its own
         direction, table, vals, goal = IMPROVING, core.up, list(ys), xs
     rows, movable, _, unfixed, frontier = _masks(core, table, vals, goal)
-    fanout, touched, anc = core.fanout, core.touched, core.anc
+    fanout, touched = core.fanout, core.touched
     child_mask, parent_mask = core.child_mask, core.parent_mask
     budget = cfg.budget
     moves: list[tuple[int, int, int]] = []
@@ -777,9 +784,6 @@ def _committed_walk(
             if not unfixed:
                 kind = DOMINATES
                 break
-        elif not unfixed >> p & 1:
-            frontier = frontier & ~anc[p] | 1 << p
-            unfixed |= anc[p]
         expansions += 1
 
     cut = kind == BUDGET_EXHAUSTED

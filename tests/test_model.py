@@ -84,6 +84,36 @@ class TestValidate:
         assert not report.ok
         assert any("duplicate value" in p for p in report.problems)
 
+    @pytest.mark.parametrize(
+        "variables, tables, problem",
+        [
+            ([Variable("A", ("a", "abar")), Variable("A", ("a", "abar"))],
+             {"A": {(): ("a", "abar")}}, "duplicate variable A"),
+            ([Variable("A", ("a",))], {"A": {(): ("a",)}},
+             "variable A needs at least 2 domain values"),
+            ([Variable("A", ("a", "a"))], {"A": {(): ("a", "a")}},
+             "duplicate domain value in variable A"),
+            ([Variable("A", ("a", "abar"), ("Z",))], {"A": {("z",): ("a", "abar")}},
+             "unknown parent Z of variable A"),
+            ([Variable("A", ("a", "abar")), Variable("B", ("b", "bbar"), ("A", "A"))],
+             {"A": {(): ("a", "abar")}, "B": {("a", "a"): ("b", "bbar")}},
+             "duplicate parent A of variable B"),
+            ([Variable("A", ("a", "abar"))],
+             {"A": {(): ("a", "abar")}, "Z": {(): ("z", "zbar")}},
+             "table for unknown variable Z"),
+            ([Variable("A", ("a", "abar")), Variable("B", ("b", "bbar"))],
+             {"A": {(): ("a", "abar")}}, "missing CPT for B"),
+            ([Variable("A", ("a", "abar"))], {"A": {(): ("a", "abar"), ("x",): ("a", "abar")}},
+             "unexpected CPT row for A under x"),
+        ],
+        ids=["duplicate-variable", "one-value", "duplicate-value", "unknown-parent",
+             "duplicate-parent", "unknown-table", "missing-cpt", "unexpected-row"],
+    )
+    def test_structural_problem_reported(self, variables, tables, problem):
+        report = validate(CPNet(variables, tables))
+        assert not report.ok
+        assert problem in report.problems
+
     def test_self_parent_rejected(self):
         net = CPNet(
             [Variable("A", ("a", "abar"), ("A",))],
@@ -288,10 +318,19 @@ class TestApplyFlip:
         with pytest.raises(CPNetError):
             apply_flip(chain2, z2, f)
 
-    def test_unsanctioned_flip_rejected(self, chain2):
+    @pytest.mark.parametrize(
+        "flip, message",
+        [
+            (Flip("A", "a", "abar", "improving"),
+             "flip A: a -> abar is not a sanctioned improving flip here"),
+            (Flip("A", "a", "a", "improving"), "'a' -> 'a' is not a flip"),
+        ],
+    )
+    def test_unsanctioned_flip_rejected(self, chain2, flip, message):
         z = outcome(chain2, "A=a,B=b")
-        with pytest.raises(CPNetError):
-            apply_flip(chain2, z, Flip("A", "a", "abar", "improving"))
+        with pytest.raises(CPNetError) as caught:
+            apply_flip(chain2, z, flip)
+        assert str(caught.value) == message
 
 
 class TestBestWorst:

@@ -126,6 +126,9 @@ class TestExport:
         y = outcome(chain3, "A=abar,B=bbar,C=cbar")
         problem = export_planning_problem(chain3, x, y, "improving")
         assert solve_planning_problem(problem) is None
+        with pytest.raises(CPNetError) as caught:
+            solve_planning_problem(problem, cap=1)
+        assert str(caught.value) == "state space exceeds cap 1"
 
     def test_equal_outcomes_refused_by_default(self, chain2):
         z = outcome(chain2, "A=a,B=b")
@@ -205,11 +208,18 @@ class TestPlanReplay:
             problem.goal = problem.init
             assert plan_to_flip_sequence(chain2, problem, []).flips == ()
 
-    def test_init_must_bind_every_variable(self, chain2):
-        init = frozenset({("A", "a")})
-        problem = PlanningProblem((), (), init, init)
-        with pytest.raises(PlanReplayError, match="missing binding for B"):
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ({("A", "a")}, "init is not an outcome of this net: missing binding for B"),
+            ({("A", "a"), ("A", "abar"), ("B", "b")}, "init binds some variable twice"),
+        ],
+    )
+    def test_init_must_bind_every_variable(self, chain2, init, message):
+        problem = PlanningProblem((), (), frozenset(init), frozenset(init))
+        with pytest.raises(PlanReplayError) as caught:
             plan_to_flip_sequence(chain2, problem, [])
+        assert str(caught.value) == message
 
     def test_unsanctioned_step_names_the_operator(self, chain2):
         onto_unknown = StripsOperator(

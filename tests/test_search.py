@@ -294,6 +294,16 @@ class TestVerifyWitness:
         z = outcome(chain3, "A=a,B=b,C=c")
         assert not verify_witness(chain3, z, z, FlipSequence(z, ()))
 
+    @pytest.mark.parametrize(
+        "flip",
+        [Flip("Z", "z", "zbar", "improving"), Flip("A", "a", "abar", "improving")],
+        ids=["unknown-variable", "wrong-from-value"],
+    )
+    def test_flip_that_does_not_replay_rejected(self, chain2, flip):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        assert not verify_witness(chain2, x, y, FlipSequence(y, (flip,)))
+
     def test_flip_labels_must_match_the_replay(self, chain2):
         x = outcome(chain2, "A=a,B=bbar")
         y = outcome(chain2, "A=abar,B=bbar")
@@ -571,6 +581,22 @@ class TestBudget:
     def test_non_int_budget_rejected(self, budget):
         with pytest.raises(CPNetError, match="budget must be an int"):
             SearchConfig(budget=budget)
+
+    @pytest.mark.parametrize("value", ["no", None, 0, 1])
+    @pytest.mark.parametrize(
+        "name",
+        ["suffix_fixing", "suffix_extension", "rightmost", "least_improving",
+         "visited_dedup", "want_witness"],
+    )
+    def test_non_bool_switch_rejected(self, name, value):
+        with pytest.raises(CPNetError) as caught:
+            SearchConfig(**{name: value})
+        assert str(caught.value) == f"{name} must be a bool, not {value!r}"
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(CPNetError) as caught:
+            SearchConfig(direction="sideways")
+        assert str(caught.value) == "unknown direction 'sideways'"
 
 
 class TestWitnessComposition:
