@@ -70,8 +70,11 @@ class FlipSequence:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     problems: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 def _sequence(items: Iterable[str], what: str) -> tuple[str, ...]:
@@ -172,7 +175,7 @@ class CPNet:
 
     def _require_valid(self) -> None:
         report = validate(self)
-        if not report.ok:
+        if report.problems:
             raise CPNetError("net failed validation: " + "; ".join(report.problems))
 
     def _build_caches(self, order: list[int]) -> None:
@@ -253,7 +256,7 @@ def validate(net: CPNet) -> ValidationReport:
     words = [w for v in net.variables for w in (v.name, *v.domain, *v.parents)]
     words += [w for rows in net.tables.values() for ranking in rows.values() for w in ranking]
     if not all(isinstance(word, str) for word in words):
-        net._report = ValidationReport(ok=False, problems=problems)  # the checks below hash words
+        net._report = ValidationReport(problems)  # the checks below hash words
         return net._report
 
     declared = {v.name for v in net.variables}
@@ -285,14 +288,14 @@ def validate(net: CPNet) -> ValidationReport:
         if owner not in by_name:
             problems.append(f"table for unknown variable {owner}")
     for v in net.variables:
-        if v.name not in by_name or any(p not in by_name for p in v.parents):
+        if any(p not in by_name for p in v.parents):
             continue
         rows = net.tables.get(v.name)
         if rows is None:
             problems.append(f"missing CPT for {v.name}")
             continue
         parent_domains = [by_name[p].domain for p in v.parents]
-        expected = set(itertools.product(*parent_domains)) if v.parents else {()}
+        expected = dict.fromkeys(itertools.product(*parent_domains))  # ordered, for membership
         for cond in expected:
             if cond not in rows:
                 ctx = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
@@ -314,7 +317,7 @@ def validate(net: CPNet) -> ValidationReport:
                     + " (every domain value must appear exactly once)"
                 )
 
-    report = ValidationReport(ok=not problems, problems=problems)
+    report = ValidationReport(problems)
     if report.ok:
         net._build_caches(order)
     net._report = report  # published only once the caches are complete

@@ -82,8 +82,9 @@ def pareto_front(
     """
     found = _layers(net, rows, cfg or SearchConfig(), front_only=True)
     winner, members = found.winner, found.members
-    # A loser settled elsewhere no longer leaves a pair open.
-    open_pairs = [(a, b) for a, b in found.cut if a not in winner and b not in winner]
+    # A loser settled elsewhere no longer leaves a pair open; ``a`` is in
+    # layer 0, so it never has a winner.
+    open_pairs = [(a, b) for a, b in found.cut if b not in winner]
     blocked = {o for pair in open_pairs for o in pair}
 
     nondominated: list[str] = []

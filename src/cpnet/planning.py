@@ -136,11 +136,7 @@ def export_planning_problem(
     )
 
 
-def render_planning_problem(
-    problem: PlanningProblem,
-    domain_name: str = "cpnet-flips",
-    problem_name: str = "cpnet-query",
-) -> str:
+def render_planning_problem(problem: PlanningProblem) -> str:
     """Byte-deterministic text: one domain document, then one problem document.
 
     Flat ``(holds VAR value)`` propositions; operators are ground actions
@@ -151,7 +147,7 @@ def render_planning_problem(
         return f"(holds {prop[0]} {prop[1]})"
 
     lines = [
-        f"(define (domain {domain_name})",
+        "(define (domain cpnet-flips)",
         "  (:requirements :strips)",
         "  (:predicates (holds ?f ?v))",
     ]
@@ -166,8 +162,8 @@ def render_planning_problem(
     objects = sorted({prop[0] for prop in problem.propositions}) + sorted(
         {prop[1] for prop in problem.propositions}
     )
-    lines.append(f"(define (problem {problem_name})")
-    lines.append(f"  (:domain {domain_name})")
+    lines.append("(define (problem cpnet-query)")
+    lines.append("  (:domain cpnet-flips)")
     lines.append("  (:objects " + " ".join(dict.fromkeys(objects)) + ")")
     lines.append("  (:init " + " ".join(holds(p) for p in sorted(problem.init)) + ")")
     lines.append(

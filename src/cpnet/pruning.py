@@ -22,9 +22,6 @@ from typing import Iterable, Mapping
 from .model import CPNet, Outcome
 from .search import _compiled
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class ValueGraph:
@@ -37,13 +34,12 @@ class ValueGraph:
 
 @dataclass
 class PruneResult:
-    status: str
     pruned_domains: dict[str, tuple[str, ...]]
     failed_variable: str | None = None
 
     @property
     def feasible(self) -> bool:
-        return self.status == FEASIBLE
+        return self.failed_variable is None
 
 
 def value_graph(
@@ -98,5 +94,5 @@ def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
         if mask
     }
     if masks and not masks[-1]:
-        return PruneResult(INFEASIBLE, surviving, failed_variable=core.names[len(masks) - 1])
-    return PruneResult(FEASIBLE, surviving)
+        return PruneResult(surviving, failed_variable=core.names[len(masks) - 1])
+    return PruneResult(surviving)

@@ -3,10 +3,10 @@
 The engine answers "does the net entail x > y?" by depth-first search for a
 flipping sequence, either upward from y (improving), downward from x
 (worsening), or both at once with a deterministic strict alternation that
-concludes when the two frontiers meet.  The flipping sequence is the proof,
-and the DFS stack already holds it: a witness is the path of frames from the
-start to the node that hit, and at a frontier meeting the other side's stack
-down to the met node, reversed (see ``_dfs``).
+concludes when the two frontiers meet.  The flipping sequence is the proof:
+a walk returns its moves, a DFS leaves them on its stacks, and
+``_flip_search`` builds every searched verdict, stats and witness from them
+(at a frontier meeting, the other side's stack reversed; see ``_dfs``).
 
 Completeness-preserving machinery:
 
@@ -639,21 +639,17 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     Improving search walks from y toward x, worsening from x toward y, and
     bidirectional mode alternates one expansion per side, concluding as soon
     as either side finishes or the frontiers meet (meeting at z gives
-    x > z > y, hence x > y; the witnesses are spliced at z).  A committed
-    search (``_Core.committed``) is one walk, so there bidirectional mode
-    runs the improving side alone and no pre-check runs; otherwise the rank
-    and forward-prune pre-checks run first.
+    x > z > y, hence x > y; the witnesses are spliced at z).  On a committed
+    net (``_Core.committed``) no pre-check runs; otherwise the rank and
+    forward-prune pre-checks run first.
     """
     cfg = cfg or SearchConfig()
     core, (xs, ys) = _compiled(net, x, y)
     if xs != ys and not core.committed(cfg):
-        stats = SearchStats()
         if core.rank(xs) <= core.rank(ys):
-            stats.decided_by = "rank"
-        elif not core.prune(xs, ys)[-1]:
-            stats.decided_by = "prune"
-        if stats.decided_by != "none":
-            return Verdict(NOT_DOMINATED, stats=stats)
+            return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="rank"))
+        if not core.prune(xs, ys)[-1]:
+            return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="prune"))
     return _flip_search(core, x, y, xs, ys, cfg)
 
 
@@ -667,68 +663,71 @@ def _search(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig) -> Verdict:
 def _flip_search(
     core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
 ) -> Verdict:
-    """The flip search proper, from the encoded outcomes: one ``_dfs`` walk
-    per side, advanced one expansion at a time and alternated in
-    bidirectional mode."""
+    """The flip search proper, from the encoded outcomes, and the one place a
+    searched verdict is built.  A side is ``(direction, table, start, goal)``,
+    improving first.  A committed search walks the first side alone
+    (``_committed_walk``); any other runs one ``_dfs`` per side, advanced one
+    expansion at a time and alternated in bidirectional mode."""
     if xs == ys:
         return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
-    if core.committed(cfg):
-        return _committed_walk(core, x, y, xs, ys, cfg)
+    sides = [(IMPROVING, core.up, ys, xs), (WORSENING, core.down, xs, ys)]
+    sides = sides if cfg.direction == BIDIRECTIONAL else [sides[cfg.direction == WORSENING]]
+    committed = core.committed(cfg)
+    active = backtracks = 0
+    if committed:
+        _, table, start, goal = sides[0]
+        kind, total, moves = _committed_walk(core, table, list(start), goal, cfg.budget)
+    else:
+        bidirectional = len(sides) == 2
+        visited = [set() for _ in sides]
+        stacks: list[list] = [[] for _ in sides]
+        walks = [_dfs(core, table, start, goal, cfg, visited[k], stacks[k],
+                      visited[1 - k] if bidirectional else None)
+                 for k, (_, table, start, goal) in enumerate(sides)]
+        counts = [next(walk) for walk in walks]  # the root expansions
+        total = len(walks)
+        while True:
+            if cfg.budget is not None and total >= cfg.budget:
+                kind = BUDGET_EXHAUSTED
+                break
+            try:
+                counts[active] = next(walks[active])
+            except StopIteration as done:
+                hit, move, counts[active] = done.value
+                kind = NOT_DOMINATED if hit is None else DOMINATES
+                break
+            total += 1
+            if bidirectional:
+                active = 1 - active
+        backtracks = sum(counts)
 
-    directions = [d for d in (IMPROVING, WORSENING) if cfg.direction in (d, BIDIRECTIONAL)]
-    bidirectional = len(directions) == 2
-    visited = [set() for _ in directions]
-    stacks: list[list] = [[] for _ in directions]
-    walks = []
-    for k, direction in enumerate(directions):
-        table, start, goal = (core.up, ys, xs) if direction == IMPROVING else (core.down, xs, ys)
-        other = visited[1 - k] if bidirectional else None
-        walks.append(_dfs(core, table, start, goal, cfg, visited[k], stacks[k], other))
-    backtracks = [next(walk) for walk in walks]  # the root expansions
-
-    active = 0
-    total = len(walks)
-    while True:
-        if cfg.budget is not None and total >= cfg.budget:
-            kind, decided = BUDGET_EXHAUSTED, "none"
-            break
-        try:
-            backtracks[active] = next(walks[active])
-        except StopIteration as done:
-            hit, move, backtracks[active] = done.value
-            kind = NOT_DOMINATED if hit is None else DOMINATES
-            decided = directions[active]
-            break
-        total += 1
-        if bidirectional:
-            active = 1 - active
-
-    stats = SearchStats(total, sum(backtracks), decided,
-                        "budget" if kind == BUDGET_EXHAUSTED else "search")
+    direction = sides[active][0]
+    cut = kind == BUDGET_EXHAUSTED
+    stats = SearchStats(total, backtracks, "none" if cut else direction,
+                        "budget" if cut else "search")
     witness = None
     if kind == DOMINATES and cfg.want_witness:
-        direction = directions[active]
-        moves = [frame[2] for frame in stacks[active][1:]] + [move]
-        # the other side's root is this side's goal; a later frame is a meeting
-        met = [frame[0] for frame in stacks[1 - active]].index(hit) if bidirectional else 0
-        if not met:
-            witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
-        else:
-            # Frontier meeting: improving path y -> meet plus the reverse of
-            # the worsening path x -> meet, emitted as one improving chain.
-            rest = [frame[2] for frame in stacks[1 - active][1:met + 1]]
-            up, down = (moves, rest) if direction == IMPROVING else (rest, moves)
-            back = [(p, new, old) for p, old, new in reversed(down)]
-            witness = FlipSequence(y, core.path(up + back, IMPROVING))
+        if not committed:
+            moves = [frame[2] for frame in stacks[active][1:]] + [move]
+            # the other side's root is this side's goal; a later frame is a meeting
+            met = [frame[0] for frame in stacks[1 - active]].index(hit) if bidirectional else 0
+            if met:
+                # Frontier meeting: improving path y -> meet plus the reverse of
+                # the worsening path x -> meet, as one improving chain from y.
+                rest = [frame[2] for frame in stacks[1 - active][1:met + 1]]
+                up, down = (moves, rest) if direction == IMPROVING else (rest, moves)
+                moves = up + [(p, new, old) for p, old, new in reversed(down)]
+                direction = IMPROVING
+        witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
     return Verdict(kind, witness, stats)
 
 
-def _committed_walk(
-    core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
-) -> Verdict:
+def _committed_walk(core: _Core, table: tuple, vals: list[int], goal: list[int],
+                    budget: int | None) -> tuple[str, int, list[tuple[int, int, int]]]:
     """A committed search (``_Core.committed``) as one flat loop over local
-    state: flip the first candidate in place until no variable is unfixed
-    (the outcome is the goal), none can move, or the budget runs out.
+    state: flip the first candidate of ``vals`` in place until no variable
+    is unfixed (``vals`` is ``goal``), none can move, or ``budget`` runs out;
+    return the verdict kind, the expansions and the moves ``(p, old, new)``.
 
     It needs no frames and no visited set, since every flip strictly moves
     the rank and no outcome repeats.  The net is binary, so a flip sets the
@@ -738,14 +737,9 @@ def _committed_walk(
     the walk moves only unfixed ones, as ``frontier`` is a subset of
     ``unfixed``.
     """
-    if cfg.direction == WORSENING:
-        direction, table, vals, goal = WORSENING, core.down, list(xs), ys
-    else:  # bidirectional runs the improving walk, complete on its own
-        direction, table, vals, goal = IMPROVING, core.up, list(ys), xs
     rows, movable, _, unfixed, frontier = _masks(core, table, vals, goal)
     fanout, touched = core.fanout, core.touched
     child_mask, parent_mask = core.child_mask, core.parent_mask
-    budget = cfg.budget
     moves: list[tuple[int, int, int]] = []
     expansions = 1  # the start
     kind = NOT_DOMINATED
@@ -786,10 +780,4 @@ def _committed_walk(
                 break
         expansions += 1
 
-    cut = kind == BUDGET_EXHAUSTED
-    stats = SearchStats(expansions, 0, "none" if cut else direction,
-                        "budget" if cut else "search")
-    witness = None
-    if kind == DOMINATES and cfg.want_witness:
-        witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
-    return Verdict(kind, witness, stats)
+    return kind, expansions, moves

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpnet
 from cpnet.cli import main
 from helpers import FIXTURES
 
@@ -66,6 +71,28 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/no/such/file.cpnet")
         assert code == 2
         assert "cannot read" in err
+
+    def test_missing_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+        net = tmp_path / "rows.cpnet"
+        net.write_text(
+            "var A: a0, a1, a2, a3, a4, a5\nvar B: b, bbar\nparents B: A\n"
+            "cpt A: a0 > a1 > a2 > a3 > a4 > a5\ncpt B | A=a0: b > bbar\n"
+        )
+        script = "import sys; from cpnet.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(cpnet.__file__).parents[1])
+        errors = set()
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script, "validate", str(net)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert done.returncode == 1
+            errors.add(done.stderr)
+        assert len(errors) == 1
+        (err,) = errors
+        rows = [line for line in err.splitlines() if line.startswith("missing CPT row")]
+        assert rows == [f"missing CPT row for B under A=a{k}" for k in range(1, 6)]
 
 
 @pytest.mark.parametrize(
@@ -289,7 +316,8 @@ class TestPareto:
         assert report["undecided"] == []
         assert report["comparisons_run"] == 0
 
-    def test_undecided_exit_code(self, capsys, indep3_path, tmp_path):
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_undecided_exit_code(self, capsys, indep3_path, tmp_path, as_json):
         catalog = tmp_path / "items.csv"
         catalog.write_text("id,A,B,C\np,a,b,cbar\nq,abar,bbar,c\n")
         code, out, _ = run(
@@ -298,10 +326,13 @@ class TestPareto:
             indep3_path,
             "--catalog", str(catalog),
             "--budget", "1",
-            "--json",
+            *(["--json"] if as_json else []),
         )
         assert code == 3
-        assert json.loads(out)["undecided"] == [["p", "q"]]
+        if as_json:
+            assert json.loads(out)["undecided"] == [["p", "q"]]
+        else:
+            assert "undecided: p vs q" in out.splitlines()
 
     def test_bad_catalog_is_input_error(self, capsys, chain2_path, tmp_path):
         catalog = tmp_path / "items.csv"

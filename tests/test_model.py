@@ -45,6 +45,15 @@ class TestValidate:
         assert not report.ok
         assert any("missing CPT row for B" in p and "A=abar" in p for p in report.problems)
 
+    def test_missing_rows_listed_in_product_order(self):
+        values = tuple(f"a{k}" for k in range(6))
+        net = CPNet(
+            [Variable("A", values), Variable("B", ("b", "bbar"), ("A",))],
+            {"A": {(): values}, "B": {("a0",): ("b", "bbar")}},
+        )
+        missing = [p for p in validate(net).problems if p.startswith("missing CPT row")]
+        assert missing == [f"missing CPT row for B under A={value}" for value in values[1:]]
+
     def test_cycle_is_reported(self):
         net = CPNet(
             [
