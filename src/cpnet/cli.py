@@ -53,7 +53,6 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
         least_improving=not args.no_least_improving,
         visited_dedup=not args.no_dedup,
         budget=args.budget,
-        want_witness=True,
     )
 
 

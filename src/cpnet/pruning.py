@@ -45,8 +45,6 @@ class PruneResult:
 def value_graph(
     net: CPNet,
     variable: str,
-    x: Outcome,
-    y: Outcome,
     pruned_so_far: Mapping[str, Iterable[str]] | None = None,
 ) -> ValueGraph:
     """Build the value graph for ``variable``.

@@ -39,11 +39,12 @@ improving walk alone (complete on its own).
 A validated net is frozen, and the first query compiles it into an integer
 core (``_Core``) that is cached on the net and shared by concurrent queries,
 which only read it but for the witness flips it caches.  A searched outcome
-keeps its fixed suffix and extension frontier as bitmasks that a flip
-updates locally, so the rightmost extension or candidate is the highest set
-bit.  ``fixed_suffix``, ``extend_suffix`` and ``order_flips`` read that same
-state; strings return only in witnesses, whose flips the core builds once
-each and then shares (``_Core.path``).
+keeps its suffix state as two bitmasks, the variables outside the fixed
+suffix and the frontier of those, built by ``_suffix`` and updated after
+each flip by ``_refix``; the rightmost extension or candidate is found from
+the highest set bit down.  ``fixed_suffix``, ``extend_suffix`` and
+``order_flips`` read that same state; strings return only in witnesses,
+whose flips the core builds once each and then shares (``_Core.path``).
 Every query, view and catalog pass enters the core through ``_compiled``.
 """
 
@@ -133,7 +134,7 @@ def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> frozenset[str]:
     member is a member) on which ``z`` already matches ``x``: every variable
     that neither differs from ``x`` nor has a descendant that does."""
     core, (zs, xs) = _compiled(net, z, x)
-    _, _, _, unfixed, _ = _masks(core, core.up, zs, xs)
+    unfixed, _ = _suffix(core, zs, xs)
     return frozenset(name for p, name in enumerate(core.names) if not unfixed >> p & 1)
 
 
@@ -145,11 +146,10 @@ def extend_suffix(net: CPNet, z: Outcome, x: Outcome, direction: str) -> Flip | 
     _check_direction(direction)
     core, (zs, xs) = _compiled(net, z, x)
     table = core.up if direction == IMPROVING else core.down
-    _, _, reach, _, frontier = _masks(core, table, zs, xs)
-    extension = frontier & reach
-    if not extension:
+    _, frontier = _suffix(core, zs, xs)
+    p = _extension(table, core.rows(zs), zs, xs, frontier)
+    if p is None:
         return None
-    p = extension.bit_length() - 1
     return core.path([(p, zs[p], xs[p])], direction)[0]
 
 
@@ -166,12 +166,12 @@ def order_flips(
     net sanctions at ``z``."""
     for flip in candidates:
         _check_direction(flip.direction)
-    core, (zs, xs) = _compiled(net, z, x)
+    core, (zs, _) = _compiled(net, z, x)
+    rows, every = core.rows(zs), (1 << len(zs)) - 1
     rank: dict[Flip, int] = {}
     for direction in {f.direction for f in candidates}:
         table = core.up if direction == IMPROVING else core.down
-        rows, movable, _, _, _ = _masks(core, table, zs, xs)
-        moves = [(p, zs[p], value) for p, value in _ordered(table, rows, zs, movable, cfg)]
+        moves = [(p, zs[p], value) for p, value in _ordered(table, rows, zs, every, cfg)]
         for k, flip in enumerate(core.path(moves, direction)):
             rank[flip] = k
 
@@ -345,7 +345,6 @@ class _Core:
         self.fanout = tuple(tuple(f) for f in fanout)
         self.fanin = tuple(tuple(f) for f in fanin)
         self.arcs = tuple(arcs)
-        self.touched = tuple((q,) + tuple(c for c, _ in f) for q, f in enumerate(self.fanout))
         self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
         self.anc = tuple(anc)
@@ -479,39 +478,66 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
         raise
 
 
-def _masks(core: _Core, table: tuple, vals: list[int], goal: list[int]
-           ) -> tuple[list[int], int, int, int, int]:
-    """The parent rows of ``vals`` and its search bitmasks toward ``goal``
-    under ``table`` (``core.up`` or ``core.down``):
+def _suffix(core: _Core, vals: list[int], goal: list[int]) -> tuple[int, int]:
+    """The suffix bitmasks of ``vals`` toward ``goal``:
 
-    * ``movable``  - variables with at least one legal flip;
-    * ``reach``    - variables whose goal value is a legal flip target;
     * ``unfixed``  - variables outside the fixed suffix: those that differ
                      from the goal, and all their ancestors;
     * ``frontier`` - members of ``unfixed`` with no child in it (all differ).
 
-    A flip of ``p`` moves the parent rows of its children only, so
-    ``movable`` and ``reach`` change at ``p`` and its children, ``unfixed``
-    and ``frontier`` at ``p`` and its ancestors; ``_dfs`` and
-    ``_committed_walk`` update them flip by flip.
+    Differing positions are read high to low, children before parents: one
+    not yet in ``unfixed`` has no differing descendant, so it joins the
+    frontier and its ancestors join ``unfixed``; no frontier bit is cleared.
     """
-    rows = core.rows(vals)
-    movable = reach = unfixed = frontier = 0
-    child_mask = core.child_mask
+    anc = core.anc
+    unfixed = frontier = 0
     for p in range(len(vals) - 1, -1, -1):
-        bit = 1 << p
-        value = vals[p]
-        flips = table[p][rows[p] + value]
-        if flips:
-            movable |= bit
-            if (p, goal[p]) in flips:
-                reach |= bit
-        if child_mask[p] & unfixed:
-            unfixed |= bit
-        elif value != goal[p]:
-            unfixed |= bit
-            frontier |= bit
-    return rows, movable, reach, unfixed, frontier
+        if vals[p] != goal[p] and not unfixed >> p & 1:
+            frontier |= 1 << p
+            unfixed |= anc[p]
+    return unfixed, frontier
+
+
+def _refix(core: _Core, vals: list[int], goal: list[int], p: int, unfixed: int,
+           frontier: int) -> tuple[int, int]:
+    """``_suffix`` after a flip of ``p`` to ``vals[p]``, updated from the
+    masks before it: only ``p`` and its ancestors can change."""
+    if vals[p] == goal[p]:
+        # p now matches: it and then its ancestors leave ``unfixed``,
+        # children first, until one differs or keeps an unfixed child.
+        child_mask, parent_mask = core.child_mask, core.parent_mask
+        pending = 1 << p
+        while pending:
+            q = pending.bit_length() - 1
+            bit = 1 << q
+            pending ^= bit
+            if child_mask[q] & unfixed:
+                continue
+            if vals[q] != goal[q]:
+                frontier |= bit
+                continue
+            unfixed &= ~bit
+            frontier &= ~bit
+            pending |= parent_mask[q]
+    elif not unfixed >> p & 1:
+        # A fixed variable matches its goal, so p just left it and had no
+        # differing descendant: it joins ``unfixed`` with all its
+        # ancestors, which leave the frontier.
+        frontier = frontier & ~core.anc[p] | 1 << p
+        unfixed |= core.anc[p]
+    return unfixed, frontier
+
+
+def _extension(table: tuple, rows: list[int], vals: list[int], goal: list[int],
+               frontier: int) -> int | None:
+    """The suffix extension at ``vals``: the highest ``frontier`` variable
+    that ``table`` lets flip onto its goal value, or ``None`` if none can."""
+    while frontier:
+        p = frontier.bit_length() - 1
+        if (p, goal[p]) in table[p][rows[p] + vals[p]]:
+            return p
+        frontier ^= 1 << p
+    return None
 
 
 def _ordered(table: tuple, rows: list[int], vals: list[int], live: int,
@@ -540,12 +566,15 @@ def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: Sear
     once its space is exhausted.  ``visited`` and ``stack`` are the caller's,
     so the other side can meet this one and read its path.
 
-    ``vals`` and ``rows`` hold the outcome of the top frame.  A frame is
-    ``(key, children, move, masks)``: the outcome's key, an iterator over its
-    candidate flips that resumes where it stopped, the move ``(position,
-    old, new)`` that made it, and its four masks (see ``_masks``).  Popping a
-    frame reverts its move and restores the masks saved below it.  Only the
-    top frame can have an exhausted child, so one flag counts backtracks.
+    ``vals`` and ``rows`` hold the outcome of the top frame, and ``unfixed``
+    and ``frontier`` its suffix masks (see ``_suffix``).  A frame is ``(key,
+    children, move, unfixed, frontier)``: the outcome's key, an iterator over
+    its candidate flips that resumes where it stopped, the move ``(position,
+    old, new)`` that made it, and its two masks.  Popping a frame reverts its
+    move and restores the masks saved below it.  Only the top frame can have
+    an exhausted child, so one flag counts backtracks.  Candidates are read
+    over ``unfixed`` (all variables without suffix fixing): a variable that
+    cannot move has an empty table entry.
 
     The stack is the path from the start, so the witness moves are the
     frames' moves, then ``move``.  At a frontier meeting the met node is
@@ -554,10 +583,11 @@ def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: Sear
     goal, and the meeting shows that this one does.
     """
     vals = list(start)
-    rows, movable, reach, unfixed, frontier = _masks(core, table, vals, goal)
-    stride, fanout, touched, anc = core.stride, core.fanout, core.touched, core.anc
-    child_mask, parent_mask = core.child_mask, core.parent_mask
+    rows = core.rows(vals)
+    unfixed, frontier = _suffix(core, vals, goal)
+    stride, fanout = core.stride, core.fanout
     extend, fix, dedup = cfg.suffix_extension, cfg.suffix_fixing, cfg.visited_dedup
+    every = (1 << len(vals)) - 1
     goal_key = sum(map(operator.mul, goal, stride))
     key = sum(map(operator.mul, vals, stride))
     visited.add(key)
@@ -565,16 +595,15 @@ def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: Sear
     backtracks = 0
     failed = False  # a child of the top frame was exhausted
     while True:
-        extension = frontier & reach if extend else 0
-        if extension:
-            p = extension.bit_length() - 1
+        p = _extension(table, rows, vals, goal, frontier) if extend else None
+        if p is not None:
             children = [(p, goal[p])]
         else:
-            children = _ordered(table, rows, vals, movable & unfixed if fix else movable, cfg)
-        stack.append((key, iter(children), move, (movable, reach, unfixed, frontier)))
+            children = _ordered(table, rows, vals, unfixed if fix else every, cfg)
+        stack.append((key, iter(children), move, unfixed, frontier))
         yield backtracks
         while stack:
-            key, children, _, _ = stack[-1]
+            key, children, _, _, _ = stack[-1]
             for p, value in children:
                 old = vals[p]
                 child = key + (value - old) * stride[p]
@@ -589,13 +618,13 @@ def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: Sear
                 visited.add(child)
                 break
             else:
-                _, _, move, _ = stack.pop()
+                _, _, move, _, _ = stack.pop()
                 if stack:
                     p, old, new = move
                     vals[p] = old
                     for c, weight in fanout[p]:
                         rows[c] += (old - new) * weight
-                    movable, reach, unfixed, frontier = stack[-1][3]
+                    _, _, _, unfixed, frontier = stack[-1]
                     failed = True
                 continue
             break
@@ -604,32 +633,7 @@ def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: Sear
         vals[p] = value
         for c, weight in fanout[p]:
             rows[c] += (value - old) * weight
-        for q in touched[p]:
-            bit = 1 << q
-            flips = table[q][rows[q] + vals[q]]
-            movable = movable | bit if flips else movable & ~bit
-            reach = reach | bit if (q, goal[q]) in flips else reach & ~bit
-        if value == goal[p]:
-            # p now matches: it and then its ancestors leave ``unfixed``,
-            # children first, until one differs or keeps an unfixed child.
-            pending = 1 << p
-            while pending:
-                q = pending.bit_length() - 1
-                bit = 1 << q
-                pending ^= bit
-                if child_mask[q] & unfixed:
-                    continue
-                if vals[q] != goal[q]:
-                    frontier |= bit
-                    continue
-                unfixed &= ~bit
-                frontier &= ~bit
-                pending |= parent_mask[q]
-        elif old == goal[p] and not unfixed >> p & 1:
-            # p now differs and had no differing descendant: it joins
-            # ``unfixed`` with all its ancestors, which leave the frontier.
-            frontier = frontier & ~anc[p] | 1 << p
-            unfixed |= anc[p]
+        unfixed, frontier = _refix(core, vals, goal, p, unfixed, frontier)
         key, move = child, (p, old, value)
 
 
@@ -730,16 +734,17 @@ def _committed_walk(core: _Core, table: tuple, vals: list[int], goal: list[int],
     return the verdict kind, the expansions and the moves ``(p, old, new)``.
 
     It needs no frames and no visited set, since every flip strictly moves
-    the rank and no outcome repeats.  The net is binary, so a flip sets the
-    other value, and a frontier variable that can move moves onto its goal:
-    the extension ``frontier & reach`` is ``frontier & movable``.  The mask
-    updates are those of ``_dfs``, less the one for moving a fixed variable:
-    the walk moves only unfixed ones, as ``frontier`` is a subset of
-    ``unfixed``.
+    the rank and no outcome repeats.  The net is binary, so a variable that
+    can move moves to its other value, and a frontier variable, which
+    differs from its goal, moves onto it: the extension is the highest bit
+    of ``frontier & movable``.  ``movable`` is built once from the start
+    rows and updated at the children of each flip; the flipped variable
+    keeps its row and now holds that row's end value, so it cannot move.
     """
-    rows, movable, _, unfixed, frontier = _masks(core, table, vals, goal)
-    fanout, touched = core.fanout, core.touched
-    child_mask, parent_mask = core.child_mask, core.parent_mask
+    rows = core.rows(vals)
+    unfixed, frontier = _suffix(core, vals, goal)
+    movable = sum(1 << p for p, entries in enumerate(table) if entries[rows[p] + vals[p]])
+    fanout = core.fanout
     moves: list[tuple[int, int, int]] = []
     expansions = 1  # the start
     kind = NOT_DOMINATED
@@ -756,28 +761,15 @@ def _committed_walk(core: _Core, table: tuple, vals: list[int], goal: list[int],
         moves.append((p, old, new))
         for c, weight in fanout[p]:
             rows[c] += (new - old) * weight
-        for q in touched[p]:
-            if table[q][rows[q] + vals[q]]:
-                movable |= 1 << q
+            if table[c][rows[c] + vals[c]]:
+                movable |= 1 << c
             else:
-                movable &= ~(1 << q)
-        if new == goal[p]:
-            pending = 1 << p
-            while pending:
-                q = pending.bit_length() - 1
-                bit = 1 << q
-                pending ^= bit
-                if child_mask[q] & unfixed:
-                    continue
-                if vals[q] != goal[q]:
-                    frontier |= bit
-                    continue
-                unfixed &= ~bit
-                frontier &= ~bit
-                pending |= parent_mask[q]
-            if not unfixed:
-                kind = DOMINATES
-                break
+                movable &= ~(1 << c)
+        movable &= ~(1 << p)
+        unfixed, frontier = _refix(core, vals, goal, p, unfixed, frontier)
+        if not unfixed:
+            kind = DOMINATES
+            break
         expansions += 1
 
     return kind, expansions, moves

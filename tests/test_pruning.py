@@ -18,15 +18,11 @@ from helpers import all_pairs, make_net, outcome, random_net
 
 class TestValueGraph:
     def test_arcs_from_both_rows(self, chain2):
-        x = outcome(chain2, "A=a,B=b")
-        y = outcome(chain2, "A=abar,B=b")
-        graph = value_graph(chain2, "B", x, y)
+        graph = value_graph(chain2, "B")
         assert set(graph.arcs) == {("b", "bbar"), ("bbar", "b")}
 
     def test_pruned_parent_drops_a_row(self, chain2):
-        x = outcome(chain2, "A=a,B=b")
-        y = outcome(chain2, "A=abar,B=b")
-        graph = value_graph(chain2, "B", x, y, {"A": ("a",)})
+        graph = value_graph(chain2, "B", {"A": ("a",)})
         assert set(graph.arcs) == {("b", "bbar")}
 
     def test_only_successive_values_connected(self):
@@ -34,9 +30,7 @@ class TestValueGraph:
             [("V", ["v1", "v2", "v3"], [])],
             {"V": {(): ("v1", "v2", "v3")}},
         )
-        graph = value_graph(
-            net, "V", Outcome(("v1",)), Outcome(("v3",))
-        )
+        graph = value_graph(net, "V")
         assert set(graph.arcs) == {("v1", "v2"), ("v2", "v3")}
 
 
@@ -117,7 +111,7 @@ class TestSweepMatchesValueGraphs:
                 surviving, failed = {}, None
                 for name in _compiled(net)[0].names:  # topological order
                     i = net.index(name)
-                    graph = value_graph(net, name, x, y, surviving)
+                    graph = value_graph(net, name, surviving)
                     keep = _walks_through(graph, x.values[i], y.values[i])
                     if not keep:
                         failed = name

@@ -34,7 +34,7 @@ from cpnet import (
     verify_witness,
 )
 from cpnet import search
-from cpnet.search import _compiled, _search
+from cpnet.search import _compiled, _refix, _search, _suffix
 from helpers import all_pairs, outcome, random_chain, random_net, random_tree
 
 RAW = SearchConfig(
@@ -217,6 +217,30 @@ def _largest_fixed_set(net, children, z, x):
         if not leaving:
             return frozenset(fixed)
         fixed -= leaving
+
+
+def test_refix_matches_the_suffix_recomputed():
+    # Random legal flips, improving or worsening; after each one the
+    # incremental update must equal the masks that _suffix rebuilds.
+    rng = random.Random(67)
+    flipped = left_goal = 0
+    for _ in range(200):
+        net = random_net(rng, rng.randint(2, 6), (2, 3), 3)
+        core = _compiled(net)[0]
+        vals, goal = ([rng.randrange(len(d)) for d in core.domains] for _ in range(2))
+        unfixed, frontier = _suffix(core, vals, goal)
+        for _ in range(100):
+            table, rows = rng.choice((core.up, core.down)), core.rows(vals)
+            flips = [flip for p, entries in enumerate(table) for flip in entries[rows[p] + vals[p]]]
+            if not flips:
+                continue  # the best or the worst outcome
+            p, value = rng.choice(flips)
+            vals[p] = value
+            flipped += 1
+            left_goal += not unfixed >> p & 1
+            unfixed, frontier = _refix(core, vals, goal, p, unfixed, frontier)
+            assert (unfixed, frontier) == _suffix(core, vals, goal)
+    assert flipped > 15000 and left_goal > 3000
 
 
 class TestOrderFlips:

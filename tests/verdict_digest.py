@@ -1,0 +1,75 @@
+"""Verdict digest: one SHA-256 over the verdicts, stats and witnesses of a
+seeded sweep of queries, to show that two versions of the engine agree.
+
+    python tests/verdict_digest.py SEED
+
+It builds 18 nets from ``SEED`` (6 binary chains and 6 binary trees of 3-7
+variables, 6 random nets of 3-4 variables with domains 2-3 and up to 2
+parents), draws 150 random outcome pairs per net, and asks each pair under
+all 32 combinations of the five cuts, in 3 directions, with no budget and
+with a budget of 3, through both ``dominates`` and ``_search``.  It prints
+the digest of every ``repr((kind, stats, witness))`` in that order, the
+number of queries, and how many were decided by each stage.  The script is
+stdlib-only and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CUTS = ("suffix_fixing", "suffix_extension", "rightmost", "least_improving", "visited_dedup")
+DIRECTIONS = ("improving", "worsening", "bidirectional")
+
+
+def digest(seed: int) -> tuple[str, int, Counter]:
+    """The SHA-256 of the sweep, its query count and its ``decided_by`` counts."""
+    from helpers import random_chain, random_net, random_tree
+
+    from cpnet import Outcome, SearchConfig, dominates
+    from cpnet.search import _search
+
+    rng = random.Random(seed)
+    nets = ([random_chain(rng, rng.randint(3, 7)) for _ in range(6)]
+            + [random_tree(rng, rng.randint(3, 7)) for _ in range(6)]
+            + [random_net(rng, rng.randint(3, 4), (2, 3), 2) for _ in range(6)])
+    configs = [
+        SearchConfig(direction=direction, budget=budget, **dict(zip(CUTS, switches)))
+        for switches in itertools.product((True, False), repeat=len(CUTS))
+        for direction in DIRECTIONS
+        for budget in (None, 3)
+    ]
+    sha = hashlib.sha256()
+    decided: Counter = Counter()
+    for net in nets:
+        for _ in range(150):
+            x, y = (Outcome(tuple(rng.choice(v.domain) for v in net.variables))
+                    for _ in range(2))
+            for cfg in configs:
+                for ask in (dominates, _search):
+                    verdict = ask(net, x, y, cfg)
+                    sha.update(repr((verdict.kind, verdict.stats, verdict.witness)).encode())
+                    decided[verdict.stats.decided_by] += 1
+    return sha.hexdigest(), sum(decided.values()), decided
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seed", type=int, help="seed of the nets and pairs")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))  # this checkout's engine
+    hexdigest, queries, decided = digest(args.seed)
+    print(f"seed {args.seed}: {queries} queries, sha256 {hexdigest}")
+    for stage, count in sorted(decided.items()):
+        print(f"  decided_by {stage}: {count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
