@@ -303,7 +303,7 @@ def serialize_cpnet(net: CPNet) -> str:
     by_name = {v.name: v for v in net.variables}
     for v in net.variables:
         parent_domains = [by_name[p].domain for p in v.parents]
-        for cond in itertools.product(*parent_domains) if v.parents else [()]:
+        for cond in itertools.product(*parent_domains):
             ranking = net.tables[v.name][cond]
             ctx = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
             head = f"cpt {v.name}" + (f" | {ctx}" if ctx else "")

@@ -6,9 +6,11 @@ the query's worse outcome as the initial state and the better one as the
 goal, a plan is exactly a flipping sequence, and the replayer turns any plan
 back into a witness the search layer can verify.
 
-Propositions are flat (variable, value) pairs; value propositions of one
-variable are mutually exclusive by construction, so operators need no
-negative preconditions.
+Propositions are flat (variable, value) pairs and a state is a set of them;
+value propositions of one variable are mutually exclusive by construction,
+so operators need no negative preconditions.  An operator applies when all
+its preconditions hold, and then deletes its ``delete`` proposition and adds
+its ``add`` one; a goal holds when each of its propositions holds.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class StripsOperator:
 
 @dataclass
 class PlanningProblem:
+    """``init`` and ``goal`` are proposition sets; the renderer reads
+    ``propositions``, every (variable, value) pair, for ``:objects``."""
     propositions: tuple[Proposition, ...]
     operators: tuple[StripsOperator, ...]
     init: frozenset[Proposition]
@@ -182,8 +186,8 @@ def plan_to_flip_sequence(
     Each flip is labelled with the direction the net gives its move at the
     replayed state.  Raises :class:`PlanReplayError` when the initial state is
     not an outcome of ``net``, naming the operator when a precondition fails
-    or when the net does not sanction its move there, and when the final
-    state is not the goal.
+    or when the net does not sanction its move there, and when some goal
+    proposition does not hold in the final state.
     """
     net._require_valid()
     by_name = {op.name: op for op in problem.operators}
@@ -218,44 +222,35 @@ def plan_to_flip_sequence(
             )
         flips.append(Flip(variable, values[i], to_value, direction))
         state[variable] = values[i] = to_value
-    if state != dict(problem.goal):
+    if not problem.goal <= state.items():
         raise PlanReplayError("goal not reached")
     return FlipSequence(start, tuple(flips))
 
 
 def solve_planning_problem(problem: PlanningProblem, cap: int = 2**16) -> list[str] | None:
-    """Breadth-first plan search over the operators; None when unsolvable.
+    """Breadth-first plan search over proposition sets; None when unsolvable.
 
+    States are the sets themselves, under the rules above; an operator that
+    does not delete its own precondition is applied as STRIPS states it.
     Kept deliberately independent of the flip machinery so equivalence can be
     checked route against route.
     """
-    variables = sorted({prop[0] for prop in problem.propositions})
-
-    def freeze(state: dict[str, str]) -> tuple[str, ...]:
-        return tuple(state[v] for v in variables)
-
-    init = dict(problem.init)
-    goal = dict(problem.goal)
-    start = freeze(init)
-    target = freeze(goal)
-    if start == target:
+    start, goal = frozenset(problem.init), problem.goal
+    if goal <= start:
         return []
     seen = {start}
-    queue: deque[tuple[tuple[str, ...], list[str]]] = deque([(start, [])])
+    queue: deque[tuple[frozenset[Proposition], list[str]]] = deque([(start, [])])
     while queue:
-        state_t, path = queue.popleft()
+        state, path = queue.popleft()
         if len(seen) > cap:
             raise CPNetError(f"state space exceeds cap {cap}")
-        state = dict(zip(variables, state_t))
         for op in problem.operators:
-            if any(state.get(v) != val for v, val in op.preconditions):
+            if not op.preconditions <= state:
                 continue
-            nxt = dict(state)
-            nxt[op.add[0]] = op.add[1]
-            nxt_t = freeze(nxt)
-            if nxt_t == target:
+            nxt = state - {op.delete} | {op.add}
+            if goal <= nxt:
                 return path + [op.name]
-            if nxt_t not in seen:
-                seen.add(nxt_t)
-                queue.append((nxt_t, path + [op.name]))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, path + [op.name]))
     return None

@@ -389,9 +389,9 @@ class _Core:
         current one.  Every improving flip raises it by at least 1, so x > y
         implies rank(x) > rank(y)."""
         return sum(
-            a * (len(domain) - 1 - len(up[row + value]))
-            for a, domain, up, row, value in zip(
-                self.rank_weight, self.domains, self.up, self.rows(vals), vals
+            a * len(down[row + value])
+            for a, down, row, value in zip(
+                self.rank_weight, self.down, self.rows(vals), vals
             )
         )
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -231,14 +232,49 @@ class TestPlanReplay:
             plan_to_flip_sequence(chain2, problem, [onto_unknown.name])
 
 
+class TestSolveHandBuiltProblems:
+    """The solver searches the proposition sets as given, plain sets too, with
+    the replay's goal rule: each goal proposition must hold."""
+
+    @pytest.fixture
+    def exported(self, chain2):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        return export_planning_problem(chain2, x, y, "improving")
+
+    def test_empty_propositions_give_the_exported_plan(self, exported):
+        plan = solve_planning_problem(exported)
+        assert plan == ["flip-A-abar-to-a"]
+        assert solve_planning_problem(replace(exported, propositions=())) == plan
+
+    def test_goal_binding_one_variable_is_solved(self, chain2, exported):
+        problem = replace(exported, goal={("A", "a")})
+        plan = solve_planning_problem(problem)
+        assert plan == ["flip-A-abar-to-a"]
+        seq = plan_to_flip_sequence(chain2, problem, plan)
+        assert verify_witness(chain2, outcome(chain2, "A=a,B=b"), seq.start, seq)
+
+    def test_init_binding_one_variable_is_unsolvable(self, exported):
+        problem = replace(exported, init={("A", "abar")})
+        assert solve_planning_problem(problem) is None
+
+    def test_goal_binding_a_variable_twice_is_unsolvable(self, chain2, exported):
+        problem = replace(exported, goal=exported.goal | {("A", "abar")})
+        assert solve_planning_problem(problem) is None
+        for plan in ([], ["flip-A-abar-to-a"]):
+            with pytest.raises(PlanReplayError, match="goal not reached"):
+                plan_to_flip_sequence(chain2, problem, plan)
+
+
 class TestRouteEquivalence:
-    def test_plans_exist_exactly_when_dominance_holds(self):
+    @pytest.mark.parametrize("direction", ["improving", "worsening"])
+    def test_plans_exist_exactly_when_dominance_holds(self, direction):
         rng = random.Random(55)
         for _ in range(10):
             net = random_net(rng, rng.randint(1, 3), domain_sizes=(2, 3))
             closure = oracle_closure(net)
             for x, y in all_pairs(net)[:30]:
-                problem = export_planning_problem(net, x, y, "improving")
+                problem = export_planning_problem(net, x, y, direction)
                 plan = solve_planning_problem(problem)
                 assert (plan is not None) == (x in closure[y])
                 if plan is not None:
