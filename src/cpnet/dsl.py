@@ -12,16 +12,19 @@ Parsing is total: any input yields a candidate net plus positioned
 diagnostics, never an exception.  Semantic problems that need the whole net
 (cycles, missing rows) are left to :func:`cpnet.model.validate`.
 
-The parser is one flat pass.  The tokenizer runs one regex over each line, so
-a token's line and column come straight from the match, and emits plain
-``(kind, text, line, column)`` tuples.  One routine parses all three
-statements; after an error, parsing resumes at the next keyword.  The
-tokenizer also keeps one string object per distinct word: a parsed net holds
-its names and values for as long as it lives, and canonical text repeats each
-of them in every CPT row that mentions it, so sharing the string makes the
-net's memory grow with its vocabulary rather than with the length of its text.
+Clean text is read line by line: one regex matches each whole line (blank, a
+comment, or one statement with an optional comment) and another finds the
+statement's words, so no token list is built.  A line that does not match, a
+keyword used as a name, or any problem ``_assemble`` reports sends the whole
+text to the positioned reader, so a refused text is read twice.  That reader
+alone places diagnostics: one regex over each line yields plain ``(kind, text,
+line, column)`` tuples, one routine parses all three statements, and after an
+error parsing resumes at the next keyword.  Both readers hand their statements
+to ``_assemble``, the one place that applies the net's rules, and share one
+string per distinct word, so a parsed net's memory grows with its vocabulary,
+not with its text, whose CPT rows repeat every name and value they mention.
 
-The catalog reader works the same way: one pass over the non-blank lines, the
+The catalog reader also goes line by line: one pass over the non-blank lines, the
 first being the header, and one regex matched at the start of each cell, whose
 start is the cell's column.  A quote after leading whitespace opens a quoted
 cell, where ``""`` is one quote.  No cell, so no id, can hold a line break.
@@ -39,9 +42,21 @@ KEYWORDS = ("var", "parents", "cpt")
 
 _RESUME = ("end", *KEYWORDS)  # where the parser picks up after an error
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+
 # Matched per line, so the search skips whitespace: a comment, a name, a
 # punctuation mark, or any other visible character (an error).
-_TOKEN_RE = re.compile(r"#.*|([A-Za-z_][A-Za-z0-9_]*)|([:,|=>])|(\S)")
+_TOKEN_RE = re.compile(rf"#.*|({_NAME})|([:,|=>])|(\S)")
+
+# One whole line of clean text: blank, or one statement, then an optional
+# comment.  Group k holds the words of a statement with keyword KEYWORDS[k-1].
+_LINE_RE = re.compile(
+    r"\s*(?:(?:var\s+(N\s*:\s*N(?:\s*,\s*N)*)"
+    r"|parents\s+(N\s*:(?:\s*N(?:\s*,\s*N)*)?)"
+    r"|cpt\s+(N(?:\s*\|\s*N\s*=\s*N(?:\s*,\s*N\s*=\s*N)*)?\s*:\s*N(?:\s*>\s*N)*))\s*)?"
+    r"(?:#.*)?".replace("N", _NAME)  # N stands for a name
+)
 
 
 @dataclass(frozen=True)
@@ -80,9 +95,18 @@ class ParseResult:
 # A token is (kind, text, line, column).  The kind of a name is "name", of a
 # keyword or a punctuation mark its own text, and of the sentinel "end".
 _Tok = tuple[str, str, int, int]
-# A statement is (keyword, head, condition, items): the declared name, the
-# (variable, value) pairs after "|" (cpt only), and the names after ":".
-_Stmt = tuple[str, _Tok, list[tuple[_Tok, _Tok]], list[_Tok]]
+# A statement is (keyword, words, n): the declared name, the condition's
+# variables and values in turn (cpt only), then from index n the names after
+# ':'.  Both readers build these, and only _assemble checks them.
+_Stmt = tuple[str, list[str], int]
+
+
+class _Refused(Exception):
+    """Raised by the line reader's error callback: the text has a problem."""
+
+
+def _refuse(stmt: int, word: int, message: str) -> None:
+    raise _Refused
 
 
 def _tokenize(text: str, diagnostics: list[SourceDiagnostic]) -> list[_Tok]:
@@ -116,50 +140,51 @@ def _error(tok: _Tok, message: str, diagnostics: list[SourceDiagnostic]) -> None
 
 def _statement(
     tokens: list[_Tok], pos: int, diagnostics: list[SourceDiagnostic]
-) -> tuple[_Stmt | None, int]:
-    """Parse the statement whose keyword is at ``pos``: the statement (None
-    after an error) and the position of the next unread token."""
+) -> tuple[list[_Tok] | None, int, int]:
+    """Parse the statement whose keyword is at ``pos``: its tokens in the
+    order of a statement's words (None after an error), the index of its
+    first name after ':', and the position of the next unread token."""
     keyword, head = tokens[pos][0], tokens[pos + 1]
     if head[0] != "name":
         _error(head, "expected a variable name", diagnostics)
-        return None, pos + 1
+        return None, 0, pos + 1
     pos += 2
-    condition: list[tuple[_Tok, _Tok]] = []
+    words = [head]
     if keyword == "cpt" and tokens[pos][0] == "|":
         while True:
             variable = tokens[pos + 1]
             if variable[0] != "name":
                 _error(variable, "expected a condition variable", diagnostics)
-                return None, pos + 1
+                return None, 0, pos + 1
             if tokens[pos + 2][0] != "=":
                 _error(tokens[pos + 2], "expected '='", diagnostics)
-                return None, pos + 2
+                return None, 0, pos + 2
             value = tokens[pos + 3]
             if value[0] != "name":
                 _error(value, "expected a condition value", diagnostics)
-                return None, pos + 3
-            condition.append((variable, value))
+                return None, 0, pos + 3
+            words += (variable, value)
             pos += 4
             if tokens[pos][0] != ",":
                 break
     if tokens[pos][0] != ":":
         _error(tokens[pos], "expected ':'", diagnostics)
-        return None, pos
-    items: list[_Tok] = []
+        return None, 0, pos
+    n = len(words)
     if keyword != "parents" or tokens[pos + 1][0] == "name":
         separator = ">" if keyword == "cpt" else ","
         while True:
             item = tokens[pos + 1]
             if item[0] != "name":
                 _error(item, "expected a name", diagnostics)
-                return None, pos + 1
-            items.append(item)
+                return None, 0, pos + 1
+            words.append(item)
             pos += 2
             if tokens[pos][0] != separator:
                 break
     else:
         pos += 1
-    return (keyword, head, condition, items), pos
+    return words, n, pos
 
 
 def parse_cpnet(text: str) -> ParseResult:
@@ -170,117 +195,133 @@ def parse_cpnet(text: str) -> ParseResult:
     candidate is still assembled from whatever parsed, so callers can run
     :func:`cpnet.model.validate` for the net-level rules.
     """
+    words: dict[str, str] = {}
+    stmts: list[_Stmt] = []
+    for line in text.split("\n"):
+        match = _LINE_RE.fullmatch(line)
+        if match is None:
+            return _parse_positioned(text)
+        if group := match.lastindex:
+            span = match[group]
+            found = _NAME_RE.findall(span)
+            stmts.append((KEYWORDS[group - 1], [*map(words.setdefault, found, found)],
+                          1 + 2 * span.count("=")))
+    if words.keys().isdisjoint(KEYWORDS):
+        try:
+            return ParseResult(_assemble(stmts, _refuse))
+        except _Refused:
+            pass
+    return _parse_positioned(text)
+
+
+def _parse_positioned(text: str) -> ParseResult:
+    """Tokenize the whole text and parse it with every diagnostic placed."""
     diagnostics: list[SourceDiagnostic] = []
     tokens = _tokenize(text, diagnostics)
     stmts: list[_Stmt] = []
+    places: list[list[_Tok]] = []  # the tokens of each statement's words
     pos = 0
     while tokens[pos][0] != "end":
-        if tokens[pos][0] in KEYWORDS:
-            stmt, pos = _statement(tokens, pos, diagnostics)
-            if stmt is not None:
-                stmts.append(stmt)
+        keyword = tokens[pos][0]
+        if keyword in KEYWORDS:
+            toks, n, pos = _statement(tokens, pos, diagnostics)
+            if toks is not None:
+                stmts.append((keyword, [tok[1] for tok in toks], n))
+                places.append(toks)
                 continue
         else:
             _error(tokens[pos], "expected 'var', 'parents', or 'cpt'", diagnostics)
         while tokens[pos][0] not in _RESUME:  # recover at the next keyword
             pos += 1
-    return ParseResult(_assemble(stmts, diagnostics), diagnostics)
+
+    def error(stmt: int, word: int, message: str) -> None:
+        _error(places[stmt][word], message, diagnostics)
+
+    return ParseResult(_assemble(stmts, error), diagnostics)
 
 
-def _assemble(stmts: list[_Stmt], diagnostics: list[SourceDiagnostic]) -> CPNet:
-    def error(tok: _Tok, message: str) -> None:
-        _error(tok, message, diagnostics)
-
+def _assemble(stmts: list[_Stmt], error) -> CPNet:
+    """The candidate net; each problem goes to ``error(stmt, word, message)``,
+    where ``word`` indexes the words of statement ``stmt``."""
     domains: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
 
-    for keyword, head, _, items in stmts:
+    for s, (keyword, words, _) in enumerate(stmts):
         if keyword == "var":
-            name = head[1]
+            name = words[0]
             if name in domains:
-                error(head, f"duplicate declaration of variable {name}")
+                error(s, 0, f"duplicate declaration of variable {name}")
                 continue
-            values = tuple(tok[1] for tok in items)
             seen: set[str] = set()
-            for tok in items:
-                if tok[1] in seen:
-                    error(tok, f"duplicate value {tok[1]} for variable {name}")
-                seen.add(tok[1])
-            domains[name] = values
+            for k, value in enumerate(words[1:], 1):
+                if value in seen:
+                    error(s, k, f"duplicate value {value} for variable {name}")
+                seen.add(value)
+            domains[name] = tuple(words[1:])
             order.append(name)
 
-    for keyword, head, _, items in stmts:
+    for s, (keyword, words, _) in enumerate(stmts):
         if keyword == "parents":
-            name = head[1]
+            name = words[0]
             if name not in domains:
-                error(head, f"unknown variable {name}")
+                error(s, 0, f"unknown variable {name}")
                 continue
             if name in parents:
-                error(head, f"duplicate parents declaration for {name}")
+                error(s, 0, f"duplicate parents declaration for {name}")
                 continue
             plist: list[str] = []
-            for tok in items:
-                if tok[1] not in domains:
-                    error(tok, f"unknown variable {tok[1]}")
-                elif tok[1] in plist:
-                    error(tok, f"duplicate parent {tok[1]} of {name}")
+            for k, parent in enumerate(words[1:], 1):
+                if parent not in domains:
+                    error(s, k, f"unknown variable {parent}")
+                elif parent in plist:
+                    error(s, k, f"duplicate parent {parent} of {name}")
                 else:
-                    plist.append(tok[1])
+                    plist.append(parent)
             parents[name] = tuple(plist)
 
     tables: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {n: {} for n in order}
-    for keyword, head, condition, items in stmts:
+    for s, (keyword, words, n) in enumerate(stmts):
         if keyword != "cpt":
             continue
-        name = head[1]
+        name = words[0]
         if name not in domains:
-            error(head, f"unknown variable {name}")
+            error(s, 0, f"unknown variable {name}")
             continue
         declared = parents.get(name, ())
         bound: dict[str, str] = {}
         bad = False
-        for var_tok, val_tok in condition:
-            cond_name = var_tok[1]
+        for k in range(1, n, 2):
+            cond_name, value = words[k], words[k + 1]
             if cond_name not in domains:
-                error(var_tok, f"unknown variable {cond_name}")
-                bad = True
-                continue
-            if cond_name not in declared:
-                error(var_tok, f"{cond_name} is not a parent of {name}")
-                bad = True
-                continue
-            if cond_name in bound:
-                error(var_tok, f"duplicate condition on {cond_name}")
-                bad = True
-                continue
-            if val_tok[1] not in domains[cond_name]:
-                error(val_tok, f"unknown value {val_tok[1]} for variable {cond_name}")
-                bad = True
-                continue
-            bound[cond_name] = val_tok[1]
-        missing = [p for p in declared if p not in bound]
-        if missing:
-            error(
-                head,
-                f"condition for {name} must bind every parent (missing {', '.join(missing)})",
-            )
-            bad = True
-        ranking: list[str] = []
-        for tok in items:
-            if tok[1] not in domains[name]:
-                error(tok, f"unknown value {tok[1]} for variable {name}")
-                bad = True
+                error(s, k, f"unknown variable {cond_name}")
+            elif cond_name not in declared:
+                error(s, k, f"{cond_name} is not a parent of {name}")
+            elif cond_name in bound:
+                error(s, k, f"duplicate condition on {cond_name}")
+            elif value not in domains[cond_name]:
+                error(s, k + 1, f"unknown value {value} for variable {cond_name}")
             else:
-                ranking.append(tok[1])
+                bound[cond_name] = value
+                continue
+            bad = True
+        if len(bound) < len(declared):
+            missing = ", ".join(p for p in declared if p not in bound)
+            error(s, 0, f"condition for {name} must bind every parent (missing {missing})")
+            bad = True
+        domain = domains[name]
+        for k in range(n, len(words)):
+            if words[k] not in domain:
+                error(s, k, f"unknown value {words[k]} for variable {name}")
+                bad = True
         if bad:
             continue
-        key = tuple(bound[p] for p in declared)
+        key = tuple(map(bound.__getitem__, declared))
         if key in tables[name]:
             ctx = ",".join(f"{p}={v}" for p, v in zip(declared, key))
-            error(head, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else ""))
+            error(s, 0, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else ""))
             continue
-        tables[name][key] = tuple(ranking)
+        tables[name][key] = tuple(words[n:])
 
     variables = [Variable(n, domains[n], parents.get(n, ())) for n in order]
     return CPNet(variables, tables)

@@ -239,24 +239,27 @@ def validate(net: CPNet) -> ValidationReport:
     if not net.variables:
         problems.append("no variables")
 
+    typed = True  # every word is a str: the checks below hash words
     for v in net.variables:
         if not _matches(_NAME, v.name):
             problems.append(f"variable name {v.name!r} is not an identifier")
+            typed &= isinstance(v.name, str)
         for value in v.domain:
             if not _matches(_VALUE, value):
                 problems.append(f"value {value!r} of variable {v.name} is not a word")
+                typed &= isinstance(value, str)
         for p in v.parents:
             if not isinstance(p, str):
                 problems.append(f"parent {p!r} of variable {v.name} is not a name")
+                typed = False
     for owner, rows in net.tables.items():
         for ranking in rows.values():
             for value in ranking:
                 if not isinstance(value, str):
                     problems.append(f"ranking value {value!r} for {owner} is not a word")
-    words = [w for v in net.variables for w in (v.name, *v.domain, *v.parents)]
-    words += [w for rows in net.tables.values() for ranking in rows.values() for w in ranking]
-    if not all(isinstance(word, str) for word in words):
-        net._report = ValidationReport(problems)  # the checks below hash words
+                    typed = False
+    if not typed:
+        net._report = ValidationReport(problems)
         return net._report
 
     declared = {v.name for v in net.variables}

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cpnet import (
     CatalogRow,
     CPNetError,
+    Variable,
+    dsl,
     parse_catalog,
     parse_cpnet,
     parse_outcome,
@@ -17,7 +19,7 @@ from cpnet import (
     serialize_cpnet,
     validate,
 )
-from helpers import load_net, outcome, random_net
+from helpers import FIXTURES, load_net, outcome, random_net
 
 CANONICAL_CHAIN2 = """var A: a, abar
 var B: b, bbar
@@ -196,6 +198,106 @@ class TestDiagnostics:
     @settings(max_examples=300, deadline=None)
     def test_parse_total_on_arbitrary_text(self, text):
         parse_cpnet(text)
+
+
+RANDOM100 = serialize_cpnet(random_net(random.Random(15), 100, (2, 3), 2))
+
+# Text the line reader takes: one statement or nothing on each line.
+CLEAN = {
+    **{name: (FIXTURES / f"{name}.cpnet").read_text() for name in FIXTURE_NAMES},
+    "crlf": CANONICAL_CHAIN2.replace("\n", "\r\n"),
+    "tabs": "var\tA:\ta,\tabar\n\tcpt A:\ta\t>\tabar\t\n",
+    "comments": "# a net\nvar A: a, abar  # the first\ncpt A: a > abar# best first\n",
+    "blank-lines": "\n\nvar A: a, abar\n\n   \n\ncpt A: a > abar\n\n",
+    "empty-parents": "var A: a, abar\nparents A:\ncpt A: a > abar\nparents B: # none\n"
+                     "var B: b, bbar\ncpt B: b > bbar",
+    "any-order": "cpt A: a > abar\ncpt B | A=a: b > bbar\ncpt B | A=abar: bbar > b\n"
+                 "parents B: A\nvar B: b, bbar\nvar A: a, abar\n",
+    "random100": RANDOM100,
+}
+NET_A = ((Variable("A", ("a", "abar")),), {"A": {(): ("a", "abar")}})
+
+
+def _stored_words(net):
+    """Every word a net stores, repeats included."""
+    for v in net.variables:
+        yield from (v.name, *v.domain, *v.parents)
+    for owner, rows in net.tables.items():
+        yield owner
+        for cond, ranking in rows.items():
+            yield from (*cond, *ranking)
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """How many times parse_cpnet fell back to the tokenizer."""
+    calls = []
+    tokenize = dsl._tokenize
+    monkeypatch.setattr(dsl, "_tokenize", lambda *args: calls.append(1) or tokenize(*args))
+    return calls
+
+
+class TestLineReader:
+    @pytest.mark.parametrize("text", CLEAN.values(), ids=CLEAN.keys())
+    def test_clean_text_never_reaches_the_tokenizer(self, monkeypatch, text):
+        expected = dsl._parse_positioned(text)
+        assert expected.ok
+
+        def tokenize(*args):
+            raise AssertionError("clean text reached the tokenizer")
+
+        monkeypatch.setattr(dsl, "_tokenize", tokenize)
+        result = parse_cpnet(text)
+        assert result.ok
+        assert result.net.variables == expected.net.variables
+        assert result.net.tables == expected.net.tables
+
+    @pytest.mark.parametrize(
+        "text, diagnostics, net",
+        [
+            ("var A: a, abar cpt A: a > abar\n", [], NET_A),
+            ("var A:\n a, abar\ncpt A: a >\n abar\n", [], NET_A),
+            (
+                "var A: a, abar\nvar var: x, y\ncpt A: a > abar\n",
+                [(2, 5, "expected a variable name"), (2, 8, "expected a variable name")],
+                NET_A,
+            ),
+            (
+                "var A: a, cpt\ncpt A: a > cpt\n",
+                [(1, 11, "expected a name"), (2, 1, "expected a variable name"),
+                 (2, 12, "expected a name"), (3, 1, "expected a variable name")],
+                ((), {}),
+            ),
+            (
+                "var A: a, abar\nvar A: x, y\ncpt A: a > abar\n",
+                [(2, 5, "duplicate declaration of variable A")],
+                NET_A,
+            ),
+        ],
+        ids=["two-statements-on-a-line", "split-statements", "keyword-as-name",
+             "keyword-as-value", "duplicate-var"],
+    )
+    def test_other_text_is_tokenized(self, tokenized, text, diagnostics, net):
+        result = parse_cpnet(text)
+        assert tokenized == [1]
+        assert [(d.line, d.column, d.message) for d in result.diagnostics] == diagnostics
+        assert (result.net.variables, result.net.tables) == net
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            (RANDOM100, []),
+            (RANDOM100.replace(": ", ":\n", 1), [1]),
+            (RANDOM100 + "var X0: x, y\n", [1]),
+        ],
+        ids=["line-reader", "tokenizer", "tokenizer-with-diagnostics"],
+    )
+    def test_each_word_is_stored_once(self, tokenized, text, calls):
+        net = parse_cpnet(text).net
+        assert tokenized == calls
+        first: dict[str, str] = {}
+        for word in _stored_words(net):
+            assert first.setdefault(word, word) is word
 
 
 class TestSerialize:

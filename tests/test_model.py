@@ -161,6 +161,37 @@ class TestValidate:
         digits = CPNet([Variable("A_1", ("0", "1"))], {"A_1": {(): ("1", "0")}})
         assert validate(digits).ok
 
+    @pytest.mark.parametrize(
+        "bad, ranking, message",
+        [
+            (Variable("B-c", ("b", "bbar")), ("b", "bbar"),
+             "variable name 'B-c' is not an identifier"),
+            (Variable("B", ("b-x", "bbar")), ("b-x", "bbar"),
+             "value 'b-x' of variable B is not a word"),
+        ],
+    )
+    def test_a_misshapen_str_word_keeps_the_structural_checks(self, bad, ranking, message):
+        twice = Variable("A", ("a", "abar"))
+        net = CPNet([twice, twice, bad], {"A": {(): ("a", "abar")}, bad.name: {(): ranking}})
+        assert validate(net).problems == [message, "duplicate variable A"]
+
+    @pytest.mark.parametrize(
+        "bad, ranking, messages",
+        [
+            (Variable(7, ("b", "bbar")), ("b", "bbar"), ["variable name 7 is not an identifier"]),
+            (Variable("B", (7, "bbar")), (7, "bbar"),
+             ["value 7 of variable B is not a word", "ranking value 7 for B is not a word"]),
+            (Variable("B", ("b", "bbar"), (7,)), ("b", "bbar"),
+             ["parent 7 of variable B is not a name"]),
+            (Variable("B", ("b", "bbar")), ("b", 7), ["ranking value 7 for B is not a word"]),
+        ],
+        ids=["name", "value", "parent", "ranking"],
+    )
+    def test_a_word_that_is_not_a_str_stops_the_structural_checks(self, bad, ranking, messages):
+        twice = Variable("A", ("a", "abar"))
+        net = CPNet([twice, twice, bad], {"A": {(): ("a", "abar")}, bad.name: {(): ranking}})
+        assert validate(net).problems == messages
+
     def test_operations_refuse_invalid_net(self):
         net = CPNet([], {})
         with pytest.raises(CPNetError):
