@@ -80,11 +80,8 @@ def _witness_lines(net: model.CPNet, seq: model.FlipSequence) -> list[str]:
     values = seq.start.values
     for flip in seq.flips:
         i = net.index(flip.variable)
-        variable = net.variables[i]
-        context = ",".join(
-            f"{p}={values[net.index(p)]}" for p in variable.parents
-        )
-        rule = context if context else "true"
+        parents = net.variables[i].parents
+        rule = model._bindings(parents, [values[net.index(p)] for p in parents]) or "true"
         lines.append(f"{flip.variable}: {flip.from_value} -> {flip.to_value}  [rule: {rule}]")
         mutable = list(values)
         mutable[i] = flip.to_value

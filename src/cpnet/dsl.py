@@ -3,10 +3,11 @@
 Net syntax (whitespace-insensitive, ``#`` starts a comment):
 
     net    := {stmt}
-    stmt   := "var" NAME ":" NAME {"," NAME}
-            | "parents" NAME ":" [NAME {"," NAME}]
-            | "cpt" NAME ["|" cond] ":" NAME {">" NAME}
-    cond   := NAME "=" NAME {"," NAME "=" NAME}
+    stmt   := "var" WORD ":" WORD {"," WORD}
+            | "parents" WORD ":" [WORD {"," WORD}]
+            | "cpt" WORD ["|" cond] ":" WORD {">" WORD}
+    cond   := WORD "=" WORD {"," WORD "=" WORD}
+    WORD   := [A-Za-z0-9_]+   (model._WORD; validate asks names be identifiers)
 
 Parsing is total: any input yields a candidate net plus positioned
 diagnostics, never an exception.  Semantic problems that need the whole net
@@ -14,15 +15,16 @@ diagnostics, never an exception.  Semantic problems that need the whole net
 
 Clean text is read line by line: one regex matches each whole line (blank, a
 comment, or one statement with an optional comment) and another finds the
-statement's words, so no token list is built.  A line that does not match, a
-keyword used as a name, or any problem ``_assemble`` reports sends the whole
-text to the positioned reader, so a refused text is read twice.  That reader
-alone places diagnostics: one regex over each line yields plain ``(kind, text,
-line, column)`` tuples, one routine parses all three statements, and after an
-error parsing resumes at the next keyword.  Both readers hand their statements
-to ``_assemble``, the one place that applies the net's rules, and share one
-string per distinct word, so a parsed net's memory grows with its vocabulary,
-not with its text, whose CPT rows repeat every name and value they mention.
+statement's words, so no token list is built.  Both readers hand their
+statements to ``_assemble``, the one place that applies the net's rules; it
+returns the net and its problems as ``(statement, word, message)``.  A line
+that does not match, a keyword used as a name, or any problem sends the whole
+text to the positioned reader, which alone places diagnostics: one regex over
+each line yields ``(kind, text, line, column)`` tokens, one routine parses all
+three statements, and after an error parsing resumes at the next keyword.  A
+refused text is thus read twice.  Both readers share one string per distinct
+word, so a parsed net's memory grows with its vocabulary, not with its text,
+whose CPT rows repeat every name and value they mention.
 
 The catalog reader also goes line by line: one pass over the non-blank lines, the
 first being the header, and one regex matched at the start of each cell, whose
@@ -36,18 +38,15 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .model import CPNet, CPNetError, Outcome, Variable
+from .model import _WORD, CPNet, CPNetError, Outcome, Variable, _bindings
 
 KEYWORDS = ("var", "parents", "cpt")
 
 _RESUME = ("end", *KEYWORDS)  # where the parser picks up after an error
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(_NAME)
-
-# Matched per line, so the search skips whitespace: a comment, a name, a
+# Matched per line, so the search skips whitespace: a comment, a word, a
 # punctuation mark, or any other visible character (an error).
-_TOKEN_RE = re.compile(rf"#.*|({_NAME})|([:,|=>])|(\S)")
+_TOKEN_RE = re.compile(rf"#.*|({_WORD.pattern})|([:,|=>])|(\S)")
 
 # One whole line of clean text: blank, or one statement, then an optional
 # comment.  Group k holds the words of a statement with keyword KEYWORDS[k-1].
@@ -55,7 +54,7 @@ _LINE_RE = re.compile(
     r"\s*(?:(?:var\s+(N\s*:\s*N(?:\s*,\s*N)*)"
     r"|parents\s+(N\s*:(?:\s*N(?:\s*,\s*N)*)?)"
     r"|cpt\s+(N(?:\s*\|\s*N\s*=\s*N(?:\s*,\s*N\s*=\s*N)*)?\s*:\s*N(?:\s*>\s*N)*))\s*)?"
-    r"(?:#.*)?".replace("N", _NAME)  # N stands for a name
+    r"(?:#.*)?".replace("N", _WORD.pattern)  # N stands for a word
 )
 
 
@@ -99,14 +98,6 @@ _Tok = tuple[str, str, int, int]
 # variables and values in turn (cpt only), then from index n the names after
 # ':'.  Both readers build these, and only _assemble checks them.
 _Stmt = tuple[str, list[str], int]
-
-
-class _Refused(Exception):
-    """Raised by the line reader's error callback: the text has a problem."""
-
-
-def _refuse(stmt: int, word: int, message: str) -> None:
-    raise _Refused
 
 
 def _tokenize(text: str, diagnostics: list[SourceDiagnostic]) -> list[_Tok]:
@@ -203,14 +194,13 @@ def parse_cpnet(text: str) -> ParseResult:
             return _parse_positioned(text)
         if group := match.lastindex:
             span = match[group]
-            found = _NAME_RE.findall(span)
+            found = _WORD.findall(span)
             stmts.append((KEYWORDS[group - 1], [*map(words.setdefault, found, found)],
                           1 + 2 * span.count("=")))
     if words.keys().isdisjoint(KEYWORDS):
-        try:
-            return ParseResult(_assemble(stmts, _refuse))
-        except _Refused:
-            pass
+        net, problems = _assemble(stmts)
+        if not problems:
+            return ParseResult(net)
     return _parse_positioned(text)
 
 
@@ -233,16 +223,17 @@ def _parse_positioned(text: str) -> ParseResult:
             _error(tokens[pos], "expected 'var', 'parents', or 'cpt'", diagnostics)
         while tokens[pos][0] not in _RESUME:  # recover at the next keyword
             pos += 1
-
-    def error(stmt: int, word: int, message: str) -> None:
+    net, problems = _assemble(stmts)
+    for stmt, word, message in problems:
         _error(places[stmt][word], message, diagnostics)
+    return ParseResult(net, diagnostics)
 
-    return ParseResult(_assemble(stmts, error), diagnostics)
 
-
-def _assemble(stmts: list[_Stmt], error) -> CPNet:
-    """The candidate net; each problem goes to ``error(stmt, word, message)``,
-    where ``word`` indexes the words of statement ``stmt``."""
+def _assemble(stmts: list[_Stmt]) -> tuple[CPNet, list[tuple[int, int, str]]]:
+    """The candidate net, and each problem as ``(stmt, word, message)``, where
+    ``word`` indexes the words of statement ``stmt``."""
+    problems: list[tuple[int, int, str]] = []
+    report = problems.append
     domains: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
     order: list[str] = []
@@ -251,12 +242,12 @@ def _assemble(stmts: list[_Stmt], error) -> CPNet:
         if keyword == "var":
             name = words[0]
             if name in domains:
-                error(s, 0, f"duplicate declaration of variable {name}")
+                report((s, 0, f"duplicate declaration of variable {name}"))
                 continue
             seen: set[str] = set()
             for k, value in enumerate(words[1:], 1):
                 if value in seen:
-                    error(s, k, f"duplicate value {value} for variable {name}")
+                    report((s, k, f"duplicate value {value} for variable {name}"))
                 seen.add(value)
             domains[name] = tuple(words[1:])
             order.append(name)
@@ -265,17 +256,17 @@ def _assemble(stmts: list[_Stmt], error) -> CPNet:
         if keyword == "parents":
             name = words[0]
             if name not in domains:
-                error(s, 0, f"unknown variable {name}")
+                report((s, 0, f"unknown variable {name}"))
                 continue
             if name in parents:
-                error(s, 0, f"duplicate parents declaration for {name}")
+                report((s, 0, f"duplicate parents declaration for {name}"))
                 continue
             plist: list[str] = []
             for k, parent in enumerate(words[1:], 1):
                 if parent not in domains:
-                    error(s, k, f"unknown variable {parent}")
+                    report((s, k, f"unknown variable {parent}"))
                 elif parent in plist:
-                    error(s, k, f"duplicate parent {parent} of {name}")
+                    report((s, k, f"duplicate parent {parent} of {name}"))
                 else:
                     plist.append(parent)
             parents[name] = tuple(plist)
@@ -286,7 +277,7 @@ def _assemble(stmts: list[_Stmt], error) -> CPNet:
             continue
         name = words[0]
         if name not in domains:
-            error(s, 0, f"unknown variable {name}")
+            report((s, 0, f"unknown variable {name}"))
             continue
         declared = parents.get(name, ())
         bound: dict[str, str] = {}
@@ -294,37 +285,37 @@ def _assemble(stmts: list[_Stmt], error) -> CPNet:
         for k in range(1, n, 2):
             cond_name, value = words[k], words[k + 1]
             if cond_name not in domains:
-                error(s, k, f"unknown variable {cond_name}")
+                report((s, k, f"unknown variable {cond_name}"))
             elif cond_name not in declared:
-                error(s, k, f"{cond_name} is not a parent of {name}")
+                report((s, k, f"{cond_name} is not a parent of {name}"))
             elif cond_name in bound:
-                error(s, k, f"duplicate condition on {cond_name}")
+                report((s, k, f"duplicate condition on {cond_name}"))
             elif value not in domains[cond_name]:
-                error(s, k + 1, f"unknown value {value} for variable {cond_name}")
+                report((s, k + 1, f"unknown value {value} for variable {cond_name}"))
             else:
                 bound[cond_name] = value
                 continue
             bad = True
         if len(bound) < len(declared):
             missing = ", ".join(p for p in declared if p not in bound)
-            error(s, 0, f"condition for {name} must bind every parent (missing {missing})")
+            report((s, 0, f"condition for {name} must bind every parent (missing {missing})"))
             bad = True
         domain = domains[name]
         for k in range(n, len(words)):
             if words[k] not in domain:
-                error(s, k, f"unknown value {words[k]} for variable {name}")
+                report((s, k, f"unknown value {words[k]} for variable {name}"))
                 bad = True
         if bad:
             continue
         key = tuple(map(bound.__getitem__, declared))
         if key in tables[name]:
-            ctx = ",".join(f"{p}={v}" for p, v in zip(declared, key))
-            error(s, 0, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else ""))
+            ctx = _bindings(declared, key)
+            report((s, 0, f"duplicate CPT row for {name}" + (f" under {ctx}" if ctx else "")))
             continue
         tables[name][key] = tuple(words[n:])
 
     variables = [Variable(n, domains[n], parents.get(n, ())) for n in order]
-    return CPNet(variables, tables)
+    return CPNet(variables, tables), problems
 
 
 def serialize_cpnet(net: CPNet) -> str:
@@ -346,13 +337,13 @@ def serialize_cpnet(net: CPNet) -> str:
         parent_domains = [by_name[p].domain for p in v.parents]
         for cond in itertools.product(*parent_domains):
             ranking = net.tables[v.name][cond]
-            ctx = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
+            ctx = _bindings(v.parents, cond)
             head = f"cpt {v.name}" + (f" | {ctx}" if ctx else "")
             lines.append(head + ": " + " > ".join(ranking))
     return "\n".join(lines) + "\n"
 
 
-_BINDING_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([A-Za-z0-9_]+)\s*")
+_BINDING_RE = re.compile(r"\s*(W)\s*=\s*(W)\s*".replace("W", _WORD.pattern))
 
 
 def parse_outcome(net: CPNet, text: str) -> Outcome:

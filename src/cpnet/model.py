@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -160,7 +161,7 @@ class CPNet:
         return Outcome(tuple(values))
 
     def format_outcome(self, outcome: Outcome) -> str:
-        return ",".join(f"{v.name}={x}" for v, x in zip(self.variables, outcome.values))
+        return _bindings(self.names, outcome.values)
 
     def check_outcome(self, outcome: Outcome) -> None:
         if not isinstance(outcome.values, tuple):  # outcomes are hashed as keys
@@ -217,14 +218,22 @@ def _kahn(variables: Sequence[Variable]) -> tuple[list[int], list[str] | None]:
     return order, [variables[i].name for i in walk[walk.index(node):] + [node]]
 
 
-# The DSL's names and outcome values: no '-', so words joined by '-' (STRIPS
-# operator names) stay unambiguous on nets built through the API too.
+# The words of net, outcome and query text, which every reader matches; only
+# validate also requires a variable name to be an identifier.  No '-', so words
+# joined by '-' (STRIPS operator names) stay unambiguous on API-built nets too.
+_WORD = re.compile(r"[A-Za-z0-9_]+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VALUE = re.compile(r"[A-Za-z0-9_]+")
+
+_MISSING_CAP = 100  # validate lists at most this many missing rows per variable
 
 
 def _matches(pattern: re.Pattern[str], word: object) -> bool:
     return isinstance(word, str) and pattern.fullmatch(word) is not None
+
+
+def _bindings(names: Iterable[str], values: Iterable[str]) -> str:
+    """The text ``A=a,B=b`` of names bound to values, as every reader takes it."""
+    return ",".join(f"{name}={value}" for name, value in zip(names, values))
 
 
 def validate(net: CPNet) -> ValidationReport:
@@ -245,7 +254,7 @@ def validate(net: CPNet) -> ValidationReport:
             problems.append(f"variable name {v.name!r} is not an identifier")
             typed &= isinstance(v.name, str)
         for value in v.domain:
-            if not _matches(_VALUE, value):
+            if not _matches(_WORD, value):
                 problems.append(f"value {value!r} of variable {v.name} is not a word")
                 typed &= isinstance(value, str)
         for p in v.parents:
@@ -297,28 +306,29 @@ def validate(net: CPNet) -> ValidationReport:
         if rows is None:
             problems.append(f"missing CPT for {v.name}")
             continue
-        parent_domains = [by_name[p].domain for p in v.parents]
-        expected = dict.fromkeys(itertools.product(*parent_domains))  # ordered, for membership
-        for cond in expected:
-            if cond not in rows:
-                ctx = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
-                problems.append(
-                    f"missing CPT row for {v.name}" + (f" under {ctx}" if ctx else "")
-                )
+        domains = [dict.fromkeys(by_name[p].domain) for p in v.parents]
+        missing = math.prod(map(len, domains)) - len(rows)
+        later: list[str] = []  # each given row is checked in O(parents)
         for cond, ranking in rows.items():
-            if cond not in expected:
-                ctx = ",".join(str(c) for c in cond)
-                problems.append(f"unexpected CPT row for {v.name} under {ctx}")
-                continue
-            if len(set(ranking)) != len(ranking):
-                problems.append(f"duplicate value in a ranking of {v.name}")
+            if len(cond) != len(domains) or not all(map(dict.__contains__, domains, cond)):
+                later.append(f"unexpected CPT row for {v.name} under " + ",".join(map(str, cond)))
+                missing += 1
+            elif len(set(ranking)) != len(ranking):
+                later.append(f"duplicate value in a ranking of {v.name}")
             elif set(ranking) != set(v.domain):
-                ctx = ",".join(f"{p}={val}" for p, val in zip(v.parents, cond))
-                problems.append(
+                ctx = _bindings(v.parents, cond)
+                later.append(
                     f"partial ranking for {v.name}"
                     + (f" under {ctx}" if ctx else "")
                     + " (every domain value must appear exactly once)"
                 )
+        absent = (c for c in itertools.product(*domains) if c not in rows) if missing else ()
+        for cond in itertools.islice(absent, min(missing, _MISSING_CAP)):
+            ctx = _bindings(v.parents, cond)
+            problems.append(f"missing CPT row for {v.name}" + (f" under {ctx}" if ctx else ""))
+        if missing > _MISSING_CAP:
+            problems.append(f"… and {missing - _MISSING_CAP} more missing CPT rows for {v.name}")
+        problems += later  # row problems follow the missing rows
 
     report = ValidationReport(problems)
     if report.ok:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .model import (
     IMPROVING,
@@ -178,16 +178,17 @@ def render_planning_problem(problem: PlanningProblem) -> str:
 
 
 def plan_to_flip_sequence(
-    net: CPNet, problem: PlanningProblem, plan: Sequence[str]
+    net: CPNet, problem: PlanningProblem, plan: Iterable[str]
 ) -> FlipSequence:
-    """Replay operator names from the initial state and emit the equivalent
-    flip sequence.
+    """Replay ``plan``, an iterable of operator names, from the initial state
+    and emit the equivalent flip sequence.
 
     Each flip is labelled with the direction the net gives its move at the
     replayed state.  Raises :class:`PlanReplayError` when the initial state is
     not an outcome of ``net``, naming the operator when a precondition fails
     or when the net does not sanction its move there, and when some goal
-    proposition does not hold in the final state.
+    proposition does not hold in the final state, or when a step names no
+    operator; a ``plan`` that is not iterable raises ``TypeError``.
     """
     net._require_valid()
     by_name = {op.name: op for op in problem.operators}

@@ -17,6 +17,15 @@ from cpnet.model import validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# A net whose values start with a digit: words in net text are [A-Za-z0-9_]+.
+DIGITS = """var A: 0, 1
+var B: 1x, 2x
+parents B: A
+cpt A: 1 > 0
+cpt B | A=0: 1x > 2x
+cpt B | A=1: 2x > 1x
+"""
+
 
 def load_net(name: str) -> CPNet:
     result = dsl.parse_cpnet((FIXTURES / f"{name}.cpnet").read_text())
@@ -34,6 +43,15 @@ def outcome(net: CPNet, text: str) -> Outcome:
 def o_values(net: CPNet, *values: str) -> Outcome:
     """Build an outcome positionally, in variable declaration order."""
     return Outcome(tuple(values))
+
+
+def wide_text(n_parents: int) -> str:
+    """Net text: binary roots P0, P1, ... and a child C of them all with one CPT
+    row, under P0=a,P1=a,...; every other row of C is missing."""
+    names = [f"P{k}" for k in range(n_parents)]
+    return ("".join(f"var {p}: a, b\ncpt {p}: a > b\n" for p in names)
+            + "var C: c, d\nparents C: " + ", ".join(names) + "\n"
+            + "cpt C | " + ",".join(f"{p}=a" for p in names) + ": c > d\n")
 
 
 def make_net(spec: list[tuple[str, list[str], list[str]]], rows: dict) -> CPNet:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cpnet
 from cpnet.cli import main
-from helpers import FIXTURES
+from helpers import DIGITS, FIXTURES, wide_text
 
 
 @pytest.fixture()
@@ -71,6 +71,35 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/no/such/file.cpnet")
         assert code == 2
         assert "cannot read" in err
+
+    def test_values_may_start_with_a_digit(self, capsys, tmp_path):
+        net = tmp_path / "digits.cpnet"
+        net.write_text(DIGITS)
+        assert run(capsys, "validate", str(net)) == (0, "ok\n", "")
+        code, out, _ = run(capsys, "dominates", str(net), "--better", "A=1,B=2x",
+                           "--worse", "A=0,B=1x", "--witness")
+        assert code == 0
+        assert out == "dominates\nA: 0 -> 1  [rule: true]\nB: 1x -> 2x  [rule: A=1]\n"
+
+    def test_a_name_that_starts_with_a_digit_parses_then_fails_validation(
+        self, capsys, tmp_path
+    ):
+        net = tmp_path / "name.cpnet"
+        net.write_text("var 1A: a, b\ncpt 1A: a > b\n")
+        result = cpnet.parse_cpnet(net.read_text())
+        assert result.ok
+        assert cpnet.validate(result.net).problems == ["variable name '1A' is not an identifier"]
+        assert run(capsys, "validate", str(net)) == (
+            1, "", "variable name '1A' is not an identifier\n"
+        )
+
+    def test_a_capped_report_exits_one(self, capsys, tmp_path):
+        net = tmp_path / "wide.cpnet"
+        net.write_text(wide_text(24))
+        code, out, err = run(capsys, "validate", str(net))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "… and 16777115 more missing CPT rows for C"
+        assert len(err.splitlines()) == 101
 
     def test_missing_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
         net = tmp_path / "rows.cpnet"

@@ -19,7 +19,7 @@ from cpnet import (
     serialize_cpnet,
     validate,
 )
-from helpers import FIXTURES, load_net, outcome, random_net
+from helpers import FIXTURES, load_net, make_net, outcome, random_net
 
 CANONICAL_CHAIN2 = """var A: a, abar
 var B: b, bbar
@@ -329,9 +329,26 @@ class TestSerialize:
         rng = random.Random(11)
         for _ in range(25):
             net = random_net(rng, rng.randint(1, 5), domain_sizes=(2, 3))
-            reparsed = parse_cpnet(serialize_cpnet(net)).net
-            assert validate(reparsed).ok
-            assert reparsed.tables == net.tables
+            # values "0", "1", ... and "0x", "1x", ...: words may start with a digit
+            for built in (net, _relabelled(net, str), _relabelled(net, "{}x".format)):
+                text = serialize_cpnet(built)
+                result = parse_cpnet(text)
+                assert result.ok, [str(d) for d in result.diagnostics]
+                assert validate(result.net).ok
+                assert result.net.tables == built.tables
+                assert serialize_cpnet(result.net) == text
+
+
+def _relabelled(net, label):
+    """``net`` built again through the API, value k of each domain named ``label(k)``."""
+    names = {v.name: {x: label(k) for k, x in enumerate(v.domain)} for v in net.variables}
+    return make_net(
+        [(v.name, list(names[v.name].values()), v.parents) for v in net.variables],
+        {v.name: {tuple(names[p][x] for p, x in zip(v.parents, cond)):
+                  tuple(names[v.name][x] for x in ranking)
+                  for cond, ranking in net.tables[v.name].items()}
+         for v in net.variables},
+    )
 
 
 class TestOutcomeAndQuery:

@@ -1,6 +1,7 @@
 """Core model: validation, ordering, flips, best/worst outcomes."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cpnet import (
     best_outcome,
     legal_flips,
     oracle_dominates,
+    parse_cpnet,
     topological_order,
     validate,
     worst_outcome,
@@ -26,6 +28,7 @@ from helpers import (
     load_net,
     outcome,
     random_net,
+    wide_text,
 )
 
 
@@ -53,6 +56,30 @@ class TestValidate:
         )
         missing = [p for p in validate(net).problems if p.startswith("missing CPT row")]
         assert missing == [f"missing CPT row for B under A={value}" for value in values[1:]]
+
+    @pytest.mark.parametrize("size", [101, 102])
+    def test_missing_rows_are_listed_up_to_a_cap(self, size):
+        values = tuple(f"a{k}" for k in range(size))
+        net = CPNet(
+            [Variable("A", values), Variable("B", ("b", "bbar"), ("A",))],
+            {"A": {(): values}, "B": {("a0",): ("b", "bbar")}},
+        )
+        listed = [f"missing CPT row for B under A={value}" for value in values[1:101]]
+        more = ["… and 1 more missing CPT rows for B"] if size == 102 else []
+        assert validate(net).problems == listed + more
+
+    def test_validation_is_bounded_by_the_text(self):
+        # 2**24 - 1 rows are missing; the report lists the first 100 of them
+        net = parse_cpnet(wide_text(24)).net
+        start = time.perf_counter()
+        problems = validate(net).problems
+        assert time.perf_counter() - start < 0.5
+        listed = [
+            "missing CPT row for C under "
+            + ",".join(f"P{i}={'ab'[k >> (23 - i) & 1]}" for i in range(24))
+            for k in range(1, 101)
+        ]
+        assert problems == listed + ["… and 16777115 more missing CPT rows for C"]
 
     def test_cycle_is_reported(self):
         net = CPNet(

@@ -191,6 +191,18 @@ class TestPlanReplay:
         with pytest.raises(PlanReplayError, match="unknown operator"):
             plan_to_flip_sequence(chain2, problem, [["a"]])
 
+    @pytest.mark.parametrize(
+        "plan, error, message",
+        [(None, TypeError, "not iterable"), (5, TypeError, "not iterable"),
+         ([5], PlanReplayError, "unknown operator 5")],
+    )
+    def test_a_plan_is_an_iterable_of_names(self, chain2, plan, error, message):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        problem = export_planning_problem(chain2, x, y, "improving")
+        with pytest.raises(error, match=message):
+            plan_to_flip_sequence(chain2, problem, plan)
+
     # chain2 with a hand-built operator that lacks its parent precondition:
     # B: bbar -> b improves under A=a and worsens under A=abar
     UNCONDITIONED = StripsOperator(

@@ -1,0 +1,109 @@
+"""Transcript: what the CLI and a few library calls print over a seeded set of
+queries, to show that the output does not depend on ``PYTHONHASHSEED``.
+
+    python tests/transcript.py DIR
+
+It writes its net, catalog and PDDL files under ``DIR`` (created if missing)
+and names them relative to it, then prints, for each of the 8 fixtures:
+``validate``, ``best``, ``best --worst``, ``pareto --json``, ``pareto --budget
+1`` and ``sort --json`` over a seeded 12-row catalog, and 30 seeded pairs each
+asked as ``dominates --witness --stats``, ``prune`` and ``export-strips`` (with
+the written file), plus ``forward_prune`` on each pair and ``to_strips`` in both
+directions.  Then ``validate`` on broken nets, one with more missing rows than
+``validate`` lists, and the queries above on a net whose values start with a
+digit.  Every call records its argv, exit code, stdout and stderr.
+
+``tests/test_determinism.py`` runs it under two hash seeds and compares the
+bytes.  The script is stdlib-only and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import os
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BROKEN = {
+    "cycle": "var A: a, abar\nvar B: b, bbar\nparents A: B\nparents B: A\n"
+             "cpt A | B=b: a > abar\ncpt A | B=bbar: a > abar\n"
+             "cpt B | A=a: b > bbar\ncpt B | A=abar: b > bbar\n",
+    "rows": "var A: a0, a1, a2, a3, a4, a5\nvar B: b, bbar\nparents B: A\n"
+            "cpt A: a0 > a1 > a2 > a3 > a4 > a5\ncpt B | A=a0: b > bbar\n",
+    "partial": "var A: a, abar, a2\ncpt A: a > abar\n",
+    "name": "var 1A: a, b\ncpt 1A: a > b\n",
+    "syntax": "var A: a, abar\ncpt A: a > zzz\nvar A: x, y\n",
+}
+
+
+def _cli(argv: list[str]) -> str:
+    from cpnet.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"$ cpnet {' '.join(argv)}\n[{code}]\n{out.getvalue()}{err.getvalue()}"
+
+
+def _queries(path: str, rng: random.Random) -> list[str]:
+    """The calls listed in the module docstring on one valid net file."""
+    from cpnet import CatalogRow, Outcome, dsl, forward_prune, to_strips
+
+    net = dsl.parse_cpnet(Path(path).read_text(encoding="utf-8")).net
+    outcomes = [*map(Outcome, itertools.product(*(v.domain for v in net.variables)))]
+    catalog = path + ".csv"
+    rows = [CatalogRow(f"r{k}", rng.choice(outcomes)) for k in range(12)]
+    Path(catalog).write_text(dsl.serialize_catalog(net, rows), encoding="utf-8")
+    lines = [_cli([command, path, *flags]) for command, flags in (
+        ("validate", []), ("best", []), ("best", ["--worst"]),
+        ("pareto", ["--catalog", catalog, "--json"]),
+        ("pareto", ["--catalog", catalog, "--budget", "1"]),
+        ("sort", ["--catalog", catalog, "--json"]),
+    )]
+    for k in range(30):
+        x, y = rng.choice(outcomes), rng.choice(outcomes)
+        query = ["--better", net.format_outcome(x), "--worse", net.format_outcome(y)]
+        pddl = f"{path}.{k}.pddl"
+        lines += [_cli(["dominates", path, *query, "--witness", "--stats"]),
+                  _cli(["prune", path, *query]),
+                  _cli(["export-strips", path, *query, "-o", pddl])]
+        if os.path.exists(pddl):
+            lines.append(Path(pddl).read_text(encoding="utf-8"))
+        lines.append(repr(forward_prune(net, x, y)))
+    for direction in ("improving", "worsening"):
+        lines += [repr((op.name, sorted(op.preconditions), op.add, op.delete))
+                  for op in to_strips(net, direction)]
+    return lines
+
+
+def transcript(rng: random.Random) -> str:
+    from helpers import DIGITS, wide_text
+
+    lines: list[str] = []
+    for fixture in sorted((ROOT / "tests" / "fixtures").glob("*.cpnet")):
+        Path(fixture.name).write_text(fixture.read_text(encoding="utf-8"), encoding="utf-8")
+        lines += _queries(fixture.name, rng)
+    for name, text in {**BROKEN, "wide": wide_text(9)}.items():  # 511 rows missing
+        Path(f"{name}.cpnet").write_text(text, encoding="utf-8")
+        lines.append(_cli(["validate", f"{name}.cpnet"]))
+    Path("digits.cpnet").write_text(DIGITS, encoding="utf-8")
+    lines += _queries("digits.cpnet", rng)
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    (directory,) = sys.argv[1:] if argv is None else argv
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's cpnet
+    os.makedirs(directory, exist_ok=True)
+    os.chdir(directory)
+    sys.stdout.buffer.write(transcript(random.Random(16)).encode("utf-8"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
