@@ -79,13 +79,10 @@ def _witness_lines(net: model.CPNet, seq: model.FlipSequence) -> list[str]:
     lines = []
     values = seq.start.values
     for flip in seq.flips:
-        i = net.index(flip.variable)
-        parents = net.variables[i].parents
+        parents = net.variable(flip.variable).parents
         rule = model._bindings(parents, [values[net.index(p)] for p in parents]) or "true"
         lines.append(f"{flip.variable}: {flip.from_value} -> {flip.to_value}  [rule: {rule}]")
-        mutable = list(values)
-        mutable[i] = flip.to_value
-        values = tuple(mutable)
+        values = model._flipped(net, values, flip)
     return lines
 
 

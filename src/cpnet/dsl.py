@@ -38,7 +38,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .model import _WORD, CPNet, CPNetError, Outcome, Variable, _bindings
+from .model import _WORD, CPNet, CPNetError, Outcome, Variable, _bindings, _expect, _usable
 
 KEYWORDS = ("var", "parents", "cpt")
 
@@ -186,6 +186,7 @@ def parse_cpnet(text: str) -> ParseResult:
     candidate is still assembled from whatever parsed, so callers can run
     :func:`cpnet.model.validate` for the net-level rules.
     """
+    _expect(text, str, "net text")
     words: dict[str, str] = {}
     stmts: list[_Stmt] = []
     for line in text.split("\n"):
@@ -325,7 +326,7 @@ def serialize_cpnet(net: CPNet) -> str:
     variables that have parents, and rows follow the cartesian product of the
     parent domains in declaration order.
     """
-    net._require_valid()
+    _usable(net)
     lines: list[str] = []
     for v in net.variables:
         lines.append(f"var {v.name}: " + ", ".join(v.domain))
@@ -348,7 +349,8 @@ _BINDING_RE = re.compile(r"\s*(W)\s*=\s*(W)\s*".replace("W", _WORD.pattern))
 
 def parse_outcome(net: CPNet, text: str) -> Outcome:
     """Parse ``A=a,B=b`` outcome text; every variable must be bound once."""
-    net._require_valid()
+    _usable(net)
+    _expect(text, str, "outcome text")
     assignment: dict[str, str] = {}
     if text.strip():
         for part in text.split(","):
@@ -364,6 +366,7 @@ def parse_outcome(net: CPNet, text: str) -> Outcome:
 
 def parse_query(net: CPNet, text: str) -> tuple[Outcome, Outcome]:
     """Parse ``<outcome> > <outcome>`` into (better, worse)."""
+    _expect(text, str, "query text")
     if text.count(">") != 1:
         raise CPNetError("query must be '<outcome> > <outcome>'")
     left, right = text.split(">")
@@ -407,7 +410,8 @@ def _split_csv_line(
 def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceDiagnostic]]:
     """Parse delimited catalog text: header ``id`` plus all variable names
     (any order), then one record per item.  Blank lines are skipped."""
-    net._require_valid()
+    _usable(net)
+    _expect(text, str, "catalog text")
     diagnostics: list[SourceDiagnostic] = []
     rows: list[CatalogRow] = []
     lines = ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip())
@@ -484,11 +488,14 @@ def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
 
     An id holding a comma or a quote, or with surrounding whitespace, is
     quoted.  The reader is line-based, so an empty id or one holding a line
-    break (anything ``str.splitlines`` splits on) raises ``CPNetError``.
+    break (anything ``str.splitlines`` splits on) raises ``CPNetError``, as
+    does a row whose outcome is not one of the net's.
     """
-    net._require_valid()
+    _usable(net)
     lines = ["id," + ",".join(net.names)]
     for number, row in enumerate(rows, start=1):
+        _expect(row, CatalogRow, "a catalog row")
+        _usable(net, row.outcome)
         text = row.identifier
         if text.splitlines() != [text]:
             raise CPNetError(f"row {number}: id {text!r} is empty or holds a line break")

@@ -86,6 +86,15 @@ def _sequence(items: Iterable[str], what: str) -> tuple[str, ...]:
     return tuple(items)
 
 
+def _expect(value: object, kind: type, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is a ``kind``: a wrong Python type
+    is a programming error, not input, so it is not a ``CPNetError``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {what} ({kind.__name__}), got {type(value).__name__}")
+
+
+_FROZEN = ("variables", "tables")
+
 # Tables are stored per owner as {parent-value-tuple: ranking-tuple}; the key
 # is aligned with the owner's parent declaration order, the ranking lists the
 # owner's domain most-preferred first.
@@ -97,10 +106,11 @@ class CPNet:
 
     Instances are built unvalidated (the parser may produce broken candidates)
     and checked once via :func:`validate`.  ``variables`` is a tuple and
-    ``tables`` a read-only mapping of read-only rows, so a net cannot change
-    after validation and may be shared across concurrent queries.  The name
-    index and topological order are cached here by validation, and the search
-    engine compiles its integer core once, on the first query.
+    ``tables`` a read-only mapping of read-only rows, and neither attribute
+    can be rebound or deleted, so a net cannot change after validation and
+    may be shared across concurrent queries.  The name index and topological
+    order are cached here by validation, and the search engine compiles its
+    integer core once, on the first query.
     """
 
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
@@ -128,6 +138,18 @@ class CPNet:
         # the integer search core, compiled by cpnet.search on the first query
         self._core: object | None = None
 
+    # A guard, not properties: _targets reads both attributes on every step.
+    # It asks hasattr, not __dict__, which would slow every attribute read.
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _FROZEN and hasattr(self, name):
+            raise AttributeError(f"a net's {name} cannot be rebound")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in _FROZEN:
+            raise AttributeError(f"a net's {name} cannot be deleted")
+        object.__delattr__(self, name)
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -138,7 +160,7 @@ class CPNet:
         return self.variables[self.index(name)]
 
     def index(self, name: str) -> int:
-        self._require_valid()
+        _usable(self)
         try:
             return self._index[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -146,7 +168,7 @@ class CPNet:
 
     def outcome(self, assignment: Mapping[str, str]) -> Outcome:
         """Build a total outcome from a name -> value mapping."""
-        self._require_valid()
+        _usable(self)
         extra = set(assignment) - set(self._index)
         if extra:
             raise CPNetError(f"unknown variable {sorted(extra)[0]!r} in outcome")
@@ -161,9 +183,11 @@ class CPNet:
         return Outcome(tuple(values))
 
     def format_outcome(self, outcome: Outcome) -> str:
+        _usable(self, outcome)
         return _bindings(self.names, outcome.values)
 
     def check_outcome(self, outcome: Outcome) -> None:
+        _expect(outcome, Outcome, "an outcome")
         if not isinstance(outcome.values, tuple):  # outcomes are hashed as keys
             raise CPNetError("outcome values must be a tuple")
         if len(outcome.values) != len(self.variables):
@@ -173,11 +197,6 @@ class CPNet:
                 raise CPNetError(f"unknown value {x!r} for variable {v.name}")
 
     # -- validation ------------------------------------------------------
-
-    def _require_valid(self) -> None:
-        report = validate(self)
-        if report.problems:
-            raise CPNetError("net failed validation: " + "; ".join(report.problems))
 
     def _build_caches(self, order: list[int]) -> None:
         self._index = {v.name: i for i, v in enumerate(self.variables)}
@@ -240,8 +259,11 @@ def validate(net: CPNet) -> ValidationReport:
     """Check every net invariant; diagnostics are the result, not failures.
 
     The report is cached on the net; a net that validated once is usable by
-    every other operation in this package.
+    every other operation in this package.  Raises ``TypeError`` if ``net`` is
+    not a :class:`CPNet`.
     """
+    if not isinstance(net, CPNet):  # inline: this runs on every query
+        raise TypeError(f"expected a net (CPNet), got {type(net).__name__}")
     if net._report is not None:
         return net._report
     problems: list[str] = []
@@ -337,9 +359,21 @@ def validate(net: CPNet) -> ValidationReport:
     return report
 
 
+def _usable(net: CPNet, *outcomes: Outcome) -> None:
+    """The entry check of every operation on a net: ``TypeError`` unless
+    ``net`` is a :class:`CPNet` and each outcome an :class:`Outcome`, and
+    ``CPNetError`` if the net fails validation or an outcome is not one of
+    its outcomes (a tuple of one domain value per variable)."""
+    problems = validate(net).problems
+    if problems:
+        raise CPNetError("net failed validation: " + "; ".join(problems))
+    for outcome in outcomes:
+        net.check_outcome(outcome)
+
+
 def topological_order(net: CPNet) -> list[str]:
     """Parents-before-children order, deterministic via declaration-order ties."""
-    net._require_valid()
+    _usable(net)
     return list(net._topo)
 
 
@@ -360,9 +394,8 @@ def legal_flips(net: CPNet, outcome: Outcome, direction: str) -> list[Flip]:
     """All flips sanctioned at ``outcome``: every strictly better (or worse)
     value of each variable under its current parent context, not only the
     adjacent ones."""
-    net._require_valid()
+    _usable(net, outcome)
     _check_direction(direction)
-    net.check_outcome(outcome)
     values = outcome.values
     flips: list[Flip] = []
     for i, v in enumerate(net.variables):
@@ -371,27 +404,32 @@ def legal_flips(net: CPNet, outcome: Outcome, direction: str) -> list[Flip]:
     return flips
 
 
-def apply_flip(net: CPNet, outcome: Outcome, flip: Flip) -> Outcome:
-    """Apply one flip, rejecting anything the net does not sanction."""
-    net._require_valid()
-    net.check_outcome(outcome)
+def _flipped(net: CPNet, values: tuple[str, ...], flip: Flip) -> tuple[str, ...]:
+    """The outcome ``values`` after ``flip``, the one check of a flip: raises
+    ``TypeError`` unless ``flip`` is a :class:`Flip`, and ``CPNetError`` unless
+    the net sanctions it at ``values`` in its own direction (the variable holds
+    its from-value, and its row ranks the to-value strictly above or below)."""
+    _expect(flip, Flip, "a flip")
     _check_direction(flip.direction)
     i = net.index(flip.variable)
-    if outcome.values[i] != flip.from_value:
+    if values[i] != flip.from_value:
         raise CPNetError(
-            f"flip does not apply: {flip.variable} is {outcome.values[i]!r}, "
-            f"not {flip.from_value!r}"
+            f"flip does not apply: {flip.variable} is {values[i]!r}, not {flip.from_value!r}"
         )
     if flip.from_value == flip.to_value:
         raise CPNetError(f"{flip.from_value!r} -> {flip.to_value!r} is not a flip")
-    if flip.to_value not in _targets(net, outcome.values, i, flip.direction):
+    if flip.to_value not in _targets(net, values, i, flip.direction):
         raise CPNetError(
             f"flip {flip.variable}: {flip.from_value} -> {flip.to_value} is not "
             f"a sanctioned {flip.direction} flip here"
         )
-    values = list(outcome.values)
-    values[i] = flip.to_value
-    return Outcome(tuple(values))
+    return values[:i] + (flip.to_value,) + values[i + 1:]
+
+
+def apply_flip(net: CPNet, outcome: Outcome, flip: Flip) -> Outcome:
+    """Apply one flip, rejecting anything the net does not sanction (:func:`_flipped`)."""
+    _usable(net, outcome)
+    return Outcome(_flipped(net, outcome.values, flip))
 
 
 def _sweep(net: CPNet, pick_last: bool) -> Outcome:
@@ -407,11 +445,11 @@ def _sweep(net: CPNet, pick_last: bool) -> Outcome:
 def best_outcome(net: CPNet) -> Outcome:
     """The unique outcome with no improving flips: assign each variable its
     top-ranked value given the already-assigned parents, in topological order."""
-    net._require_valid()
+    _usable(net)
     return _sweep(net, pick_last=False)
 
 
 def worst_outcome(net: CPNet) -> Outcome:
     """Dual of :func:`best_outcome`: bottom-ranked values, no worsening flips."""
-    net._require_valid()
+    _usable(net)
     return _sweep(net, pick_last=True)

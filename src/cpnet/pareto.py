@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dsl import CatalogRow
-from .model import CPNet, Outcome
-from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, dominates
+from .model import CPNet, Outcome, _expect
+from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, _config, dominates
 
 
 @dataclass
@@ -44,6 +44,8 @@ def _layers(net: CPNet, rows: list[CatalogRow], cfg: SearchConfig, front_only: b
     scanned, giving at most two layers.  The pass reads verdicts only, so it
     builds no witnesses."""
     cfg = replace(cfg, want_witness=False)
+    for row in rows:
+        _expect(row, CatalogRow, "a catalog row")
     core, codes = _compiled(net, *(row.outcome for row in rows))
     found = _Pass({}, [], {}, [], 0)
     rank: dict[Outcome, int] = {}
@@ -80,7 +82,7 @@ def pareto_front(
     winner per loser); comparisons that exhaust the budget leave their id
     pairs undecided rather than guessing.
     """
-    found = _layers(net, rows, cfg or SearchConfig(), front_only=True)
+    found = _layers(net, rows, _config(cfg), front_only=True)
     winner, members = found.winner, found.members
     # A loser settled elsewhere no longer leaves a pair open; ``a`` is in
     # layer 0, so it never has a winner.
@@ -112,5 +114,5 @@ def sort_catalog(
     every row that dominates it.  Ties within a layer are ordered by id.
     Comparisons the budget cut off are treated as non-dominating.
     """
-    found = _layers(net, rows, cfg or SearchConfig(), front_only=False)
+    found = _layers(net, rows, _config(cfg), front_only=False)
     return [sorted(i for o in tier for i in found.members[o]) for tier in found.tiers]

@@ -28,7 +28,9 @@ from .model import (
     FlipSequence,
     Outcome,
     _check_direction,
+    _expect,
     _targets,
+    _usable,
 )
 
 Proposition = tuple[str, str]  # (variable, value)
@@ -78,7 +80,7 @@ def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
     A row over d values yields d-1 operators: improving ones step each value
     to the next more-preferred value, worsening ones mirror that.
     """
-    net._require_valid()
+    _usable(net)
     _check_direction(direction)
     operators: list[StripsOperator] = []
     for v in net.variables:
@@ -115,9 +117,7 @@ def export_planning_problem(
     x = y the empty plan would "solve" a false query, so that case is refused
     unless ``allow_trivial`` is set.
     """
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
+    _usable(net, x, y)
     if x == y and not allow_trivial:
         raise CPNetError(
             "x = y: the empty plan would solve the problem but strict dominance "
@@ -146,6 +146,7 @@ def render_planning_problem(problem: PlanningProblem) -> str:
     Flat ``(holds VAR value)`` propositions; operators are ground actions
     sorted by name, and the names are PDDL symbols as they are.
     """
+    _expect(problem, PlanningProblem, "a planning problem")
 
     def holds(prop: Proposition) -> str:
         return f"(holds {prop[0]} {prop[1]})"
@@ -190,7 +191,8 @@ def plan_to_flip_sequence(
     proposition does not hold in the final state, or when a step names no
     operator; a ``plan`` that is not iterable raises ``TypeError``.
     """
-    net._require_valid()
+    _usable(net)
+    _expect(problem, PlanningProblem, "a planning problem")
     by_name = {op.name: op for op in problem.operators}
     state = dict(problem.init)  # variable -> value
     if len(state) != len(problem.init):
@@ -236,6 +238,7 @@ def solve_planning_problem(problem: PlanningProblem, cap: int = 2**16) -> list[s
     Kept deliberately independent of the flip machinery so equivalence can be
     checked route against route.
     """
+    _expect(problem, PlanningProblem, "a planning problem")
     start, goal = frozenset(problem.init), problem.goal
     if goal <= start:
         return []

@@ -16,10 +16,10 @@ uses as a pre-check; ``forward_prune`` turns its masks back into names, and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
-from .model import CPNet, Outcome
+from .model import CPNet, Outcome, _expect, _usable
 from .search import _compiled
 
 
@@ -53,8 +53,10 @@ def value_graph(
     that parent's surviving set (``pruned_so_far``; full domains by default).
     Only successive values of a row are connected, never the long jumps.
     """
-    net._require_valid()
+    _usable(net)
     var = net.variable(variable)
+    if pruned_so_far is not None:
+        _expect(pruned_so_far, Mapping, "a mapping of surviving values")
     surviving = {
         name: frozenset(values)
         for name, values in (pruned_so_far or {}).items()

@@ -65,7 +65,10 @@ from .model import (
     FlipSequence,
     Outcome,
     _check_direction,
+    _expect,
+    _flipped,
     _targets,
+    _usable,
 )
 
 BIDIRECTIONAL = "bidirectional"
@@ -104,6 +107,14 @@ class SearchConfig:
                 raise CPNetError(f"budget must be an int, not {self.budget!r}")
             if self.budget < 1:
                 raise CPNetError("budget must be at least 1 when bounded")
+
+
+def _config(cfg: SearchConfig | None) -> SearchConfig:
+    """``cfg``, or the defaults for None; anything else is a ``TypeError``."""
+    if cfg is None:
+        return SearchConfig()
+    _expect(cfg, SearchConfig, "a search config")
+    return cfg
 
 
 @dataclass
@@ -164,7 +175,9 @@ def order_flips(
     order when the heuristic is off), then least-improving target within a
     variable (most-improving when off).  Every candidate must be a flip the
     net sanctions at ``z``."""
+    _expect(cfg, SearchConfig, "a search config")
     for flip in candidates:
+        _expect(flip, Flip, "a flip")
         _check_direction(flip.direction)
     core, (zs, _) = _compiled(net, z, x)
     rows, every = core.rows(zs), (1 << len(zs)) - 1
@@ -187,15 +200,15 @@ def order_flips(
 # -- brute-force oracle ----------------------------------------------------
 
 
-def _check_cap(net: CPNet, cap: int) -> None:
-    net._require_valid()
+def _check_cap(net: CPNet, cap: int, *outcomes: Outcome) -> None:
+    _usable(net, *outcomes)
     if math.prod(len(v.domain) for v in net.variables) > cap:
         raise CPNetError(f"outcome space exceeds oracle cap {cap}")
 
 
 def all_outcomes(net: CPNet) -> list[Outcome]:
     """Every outcome of the net, in lexicographic declaration order."""
-    net._require_valid()
+    _usable(net)
     return [Outcome(values) for values in itertools.product(*(v.domain for v in net.variables))]
 
 
@@ -229,9 +242,7 @@ def oracle_dominates(net: CPNet, x: Outcome, y: Outcome, cap: int = 2**16) -> bo
     """Reference answer: breadth-first reachability from ``y`` to ``x`` over
     the complete one-improving-flip graph.  Exhaustive, so only usable while
     the outcome space stays at or below ``cap``."""
-    _check_cap(net, cap)
-    net.check_outcome(x)
-    net.check_outcome(y)
+    _check_cap(net, cap, x, y)
     return x != y and x.values in _better_outcomes(y.values, lambda v: _improving_children(net, v))
 
 
@@ -252,11 +263,12 @@ def oracle_closure(net: CPNet, cap: int = 2**16) -> dict[Outcome, frozenset[Outc
 
 def verify_witness(net: CPNet, x: Outcome, y: Outcome, seq: FlipSequence) -> bool:
     """True iff ``seq`` proves x > y: an improving chain from y to x, or the
-    worsening mirror from x to y, every flip labelled with that direction.
-    The empty sequence proves nothing."""
-    net._require_valid()
-    net.check_outcome(x)
-    net.check_outcome(y)
+    worsening mirror from x to y, every flip labelled with that direction and
+    sanctioned where it is taken (``model._flipped``).  The empty sequence
+    proves nothing, nor does one holding an item that is not a :class:`Flip`;
+    a ``seq`` that is not a :class:`FlipSequence` raises ``TypeError``."""
+    _usable(net, x, y)
+    _expect(seq, FlipSequence, "a flip sequence")
     if not seq.flips:
         return False
     if seq.start == y and _replays(net, seq, IMPROVING, x):
@@ -270,19 +282,12 @@ def _replays(net: CPNet, seq: FlipSequence, direction: str, goal: Outcome) -> bo
     # every sanctioned flip moves the rank one way, so no outcome repeats
     values = seq.start.values
     for flip in seq.flips:
-        if flip.direction != direction:
+        if not isinstance(flip, Flip) or flip.direction != direction:
             return False
         try:
-            i = net.index(flip.variable)
+            values = _flipped(net, values, flip)
         except CPNetError:
             return False
-        if values[i] != flip.from_value:
-            return False
-        if flip.to_value not in _targets(net, values, i, direction):
-            return False
-        nxt = list(values)
-        nxt[i] = flip.to_value
-        values = tuple(nxt)
     return values == goal.values
 
 
@@ -464,17 +469,16 @@ def _walk(arcs: list[int], start: int) -> int:
 def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
     """The one way into the engine: validate the net and return its core,
     compiled on first use, with the outcomes checked and encoded in one
-    pass.  An outcome that does not encode is left to ``CPNet.check_outcome``,
+    pass.  An outcome that does not encode is left to ``model._usable``,
     which names the first problem in declaration order."""
-    net._require_valid()
+    _usable(net)
     core = net._core
     if core is None:
         core = net._core = _Core(net)  # one assignment of a finished core
     try:
         return core, [core.encode(o.values) for o in outcomes]
-    except (KeyError, TypeError):  # TypeError: not a tuple, wrong length, or unhashable
-        for o in outcomes:
-            net.check_outcome(o)
+    except (AttributeError, KeyError, TypeError):  # not an Outcome, a tuple or the right length
+        _usable(net, *outcomes)
         raise
 
 
@@ -647,7 +651,7 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
     net (``_Core.committed``) no pre-check runs; otherwise the rank and
     forward-prune pre-checks run first.
     """
-    cfg = cfg or SearchConfig()
+    cfg = _config(cfg)
     core, (xs, ys) = _compiled(net, x, y)
     if xs != ys and not core.committed(cfg):
         if core.rank(xs) <= core.rank(ys):

@@ -23,7 +23,8 @@ It prints the digest of every ``repr((diagnostics, variables, tables))`` in
 that order, the number of texts, how many had diagnostics, and how many were
 read by the line reader and how many by the tokenizer (a text that calls
 ``dsl._tokenize`` counts as tokenized).  The script is stdlib-only and is not
-collected by pytest.
+collected by pytest.  ``tests/transcript.py`` parses a slice of the same
+corpus, every kind of text at a hundredth of its count.
 """
 
 from __future__ import annotations
@@ -131,23 +132,37 @@ def _noise(rng: random.Random, base: str) -> str:
     return "".join(chars)
 
 
-def corpus(seed: int) -> list[str]:
+def corpus(seed: int, share: float = 1) -> list[str]:
+    """The texts listed in the module docstring; with ``share`` below 1, the
+    fixtures, malformed texts and generated nets, then that share of each
+    kind of derived text."""
     rng = random.Random(seed)
+
+    def count(n: int) -> range:
+        return range(round(n * share))
+
     fixtures = sorted((ROOT / "tests" / "fixtures").glob("*.cpnet"))
     texts = [path.read_text(encoding="utf-8") for path in fixtures]
     texts += _malformed()
     nets = _nets(rng)
     texts += nets
     small = [text for text in nets if len(text) < 20_000]
-    texts += [_reformat(rng, rng.choice(small)) for _ in range(2000)]
+    texts += [_reformat(rng, rng.choice(small)) for _ in count(2000)]
     texts += [_mutate(rng, rng.choice(small if rng.random() < 0.99 else nets))
-              for _ in range(20_600)]
-    texts += [_soup(rng) for _ in range(6000)]
-    for _ in range(5000):
+              for _ in count(20_600)]
+    texts += [_soup(rng) for _ in count(6000)]
+    for _ in count(5000):
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
         texts += [blob.decode("latin-1"), blob.decode("utf-8", errors="replace")]
-    texts += [_noise(rng, rng.choice(small)) for _ in range(2000)]
+    texts += [_noise(rng, rng.choice(small)) for _ in count(2000)]
     return texts
+
+
+def record(result) -> bytes:
+    """What the digest hashes of one parse: its diagnostics, variables and tables."""
+    net = result.net
+    return repr((result.diagnostics, net.variables, net.tables)).encode(
+        "utf-8", errors="backslashreplace")
 
 
 def digest(seed: int) -> tuple[str, int, Counter]:
@@ -170,9 +185,7 @@ def digest(seed: int) -> tuple[str, int, Counter]:
         for text in texts:
             tokenized.clear()
             result = dsl.parse_cpnet(text)
-            net = result.net
-            record = repr((result.diagnostics, net.variables, net.tables))
-            sha.update(record.encode("utf-8", errors="backslashreplace"))
+            sha.update(record(result))
             counts["read by the tokenizer" if tokenized else "read by the line reader"] += 1
             counts["with diagnostics"] += bool(result.diagnostics)
     finally:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cpnet import (
     CatalogRow,
     CPNetError,
+    Outcome,
     Variable,
     dsl,
     parse_catalog,
@@ -491,6 +492,18 @@ class TestCatalog:
         with pytest.raises(CPNetError) as caught:
             serialize_catalog(chain2, rows)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [(("zz", "b"), "unknown value 'zz' for variable A"),
+         (("a",), "outcome does not match this net's variable set")],
+    )
+    def test_serialize_refuses_a_row_that_is_not_an_outcome_of_the_net(
+        self, chain2, values, message
+    ):
+        rows = [CatalogRow("p1", Outcome(values))]
+        with pytest.raises(CPNetError, match=message):
+            serialize_catalog(chain2, rows)
 
     @given(
         st.lists(

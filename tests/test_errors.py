@@ -1,0 +1,114 @@
+"""The README's "Errors" rule on wrong Python types: a call whose argument is
+not of its documented type raises ``TypeError``, never ``AttributeError``.
+A few calls check such an argument as a value and raise ``CPNetError``; a
+witness whose flips are not ``Flip`` objects proves nothing."""
+
+import pytest
+
+from cpnet import (
+    IMPROVING,
+    CPNet,
+    CPNetError,
+    Flip,
+    FlipSequence,
+    Outcome,
+    SearchConfig,
+    all_outcomes,
+    apply_flip,
+    best_outcome,
+    dominates,
+    export_planning_problem,
+    extend_suffix,
+    fixed_suffix,
+    forward_prune,
+    legal_flips,
+    oracle_closure,
+    oracle_dominates,
+    order_flips,
+    pareto_front,
+    parse_catalog,
+    parse_cpnet,
+    parse_outcome,
+    parse_query,
+    plan_to_flip_sequence,
+    render_planning_problem,
+    serialize_catalog,
+    serialize_cpnet,
+    solve_planning_problem,
+    sort_catalog,
+    to_strips,
+    topological_order,
+    validate,
+    value_graph,
+    verify_witness,
+    worst_outcome,
+)
+
+X, Y = Outcome(("a", "b")), Outcome(("abar", "b"))  # x > y on chain2
+FLIP = Flip("A", "abar", "a", IMPROVING)  # y -> x
+SEQ, JUNK = FlipSequence(Y, (FLIP,)), FlipSequence(Y, ("junk",))
+CFG = SearchConfig()
+
+PROBES = {
+    # a net that is not a CPNet
+    "validate": (TypeError, lambda net: validate(5)),
+    "topological_order": (TypeError, lambda net: topological_order(5)),
+    "best_outcome": (TypeError, lambda net: best_outcome(None)),
+    "worst_outcome": (TypeError, lambda net: worst_outcome(5)),
+    "serialize_cpnet": (TypeError, lambda net: serialize_cpnet(5)),
+    "dominates-net": (TypeError, lambda net: dominates(5, X, Y)),
+    "all_outcomes": (TypeError, lambda net: all_outcomes(5)),
+    "to_strips": (TypeError, lambda net: to_strips(5, IMPROVING)),
+    "legal_flips-net": (TypeError, lambda net: legal_flips(5, X, IMPROVING)),
+    "oracle_closure": (TypeError, lambda net: oracle_closure(5)),
+    # an outcome that is not an Outcome
+    "dominates-outcome": (TypeError, lambda net: dominates(net, "x", Y)),
+    "legal_flips-outcome": (TypeError, lambda net: legal_flips(net, "x", IMPROVING)),
+    "apply_flip-outcome": (TypeError, lambda net: apply_flip(net, "y", FLIP)),
+    "verify_witness-outcome": (TypeError, lambda net: verify_witness(net, "x", Y, SEQ)),
+    "oracle_dominates": (TypeError, lambda net: oracle_dominates(net, X, "y")),
+    "export_planning_problem": (TypeError, lambda net: export_planning_problem(net, X, "y")),
+    "fixed_suffix": (TypeError, lambda net: fixed_suffix(net, "z", X)),
+    "forward_prune": (TypeError, lambda net: forward_prune(net, X, 5)),
+    # flips and candidates
+    "apply_flip-flip": (TypeError, lambda net: apply_flip(net, Y, 5)),
+    "order_flips-candidate": (TypeError, lambda net: order_flips(net, Y, [5], X, CFG)),
+    "extend_suffix-direction": (CPNetError, lambda net: extend_suffix(net, X, Y, 5)),
+    # witnesses
+    "verify_witness-seq": (TypeError, lambda net: verify_witness(net, X, Y, 5)),
+    "verify_witness-junk": (False, lambda net: verify_witness(net, X, Y, JUNK)),
+    # text
+    "parse_cpnet": (TypeError, lambda net: parse_cpnet(5)),
+    "parse_outcome": (TypeError, lambda net: parse_outcome(net, 5)),
+    "parse_query": (TypeError, lambda net: parse_query(net, 5)),
+    "parse_catalog": (TypeError, lambda net: parse_catalog(net, 5)),
+    # catalog rows
+    "pareto_front": (TypeError, lambda net: pareto_front(net, [5])),
+    "sort_catalog": (TypeError, lambda net: sort_catalog(net, [5])),
+    "serialize_catalog": (TypeError, lambda net: serialize_catalog(net, [5])),
+    # configs
+    "dominates-cfg": (TypeError, lambda net: dominates(net, X, Y, 5)),
+    "order_flips-cfg": (TypeError, lambda net: order_flips(net, Y, [FLIP], X, 5)),
+    "SearchConfig": (CPNetError, lambda net: SearchConfig(budget="3")),
+    # survivors
+    "value_graph-survivors": (TypeError, lambda net: value_graph(net, "B", 5)),
+    "value_graph-variable": (CPNetError, lambda net: value_graph(net, 5)),
+    # planning problems and plans
+    "render_planning_problem": (TypeError, lambda net: render_planning_problem(5)),
+    "solve_planning_problem": (TypeError, lambda net: solve_planning_problem(5)),
+    "plan_to_flip_sequence-problem": (TypeError, lambda net: plan_to_flip_sequence(net, 5, [])),
+    "plan_to_flip_sequence-plan": (
+        TypeError, lambda net: plan_to_flip_sequence(net, export_planning_problem(net, X, Y), 5)),
+    # construction
+    "CPNet": (CPNetError, lambda net: CPNet(5, {})),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_a_wrong_type_raises_type_error(chain2, name):
+    expected, call = PROBES[name]
+    if expected is False:
+        assert call(chain2) is False
+    else:
+        with pytest.raises(expected):
+            call(chain2)

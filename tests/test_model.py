@@ -14,9 +14,11 @@ from cpnet import (
     Variable,
     apply_flip,
     best_outcome,
+    dominates,
     legal_flips,
     oracle_dominates,
     parse_cpnet,
+    serialize_cpnet,
     topological_order,
     validate,
     worst_outcome,
@@ -299,6 +301,24 @@ class TestValidate:
         with pytest.raises(TypeError):
             chain2.tables["B"][("a",)] = ("bbar", "b")
         assert validate(chain2).ok
+        # neither attribute can be rebound or deleted (a fresh net, so that a
+        # failure leaves the shared fixture intact)
+        net = load_net("chain2")
+        x, y = outcome(net, "A=a,B=b"), outcome(net, "A=abar,B=b")
+        verdict = dominates(net, x, y)
+        text = serialize_cpnet(net)
+        with pytest.raises(AttributeError):
+            net.tables = {}
+        with pytest.raises(AttributeError):
+            net.variables = net.variables[::-1]
+        with pytest.raises(AttributeError):
+            del net.tables
+        with pytest.raises(AttributeError):
+            del net.variables
+        assert validate(net).ok
+        assert dominates(net, x, y) == verdict
+        assert serialize_cpnet(net) == text
+        assert best_outcome(net) == x
 
 
 def _long_chain(n, declaration_order, closed=False):

@@ -1,5 +1,6 @@
 """Transcript: what the CLI and a few library calls print over a seeded set of
-queries, to show that the output does not depend on ``PYTHONHASHSEED``.
+queries, parses and verdicts, to show that the output does not depend on
+``PYTHONHASHSEED``.
 
     python tests/transcript.py DIR
 
@@ -13,6 +14,13 @@ directions.  Then ``validate`` on broken nets, one with more missing rows than
 ``validate`` lists, and the queries above on a net whose values start with a
 digit.  Every call records its argv, exit code, stdout and stderr.
 
+Last come two seeded slices of the digest scripts.  From the corpus of
+``tests/parse_digest.py`` (a hundredth of each kind of derived text), each
+text's diagnostic count and the SHA-256 of what that script hashes of its
+parse.  From the sweep of ``tests/verdict_digest.py`` (one net per family,
+3 pairs per net), each verdict's kind, stats and witness under every
+combination of cuts and every direction, with and without a budget.
+
 ``tests/test_determinism.py`` runs it under two hash seeds and compares the
 bytes.  The script is stdlib-only and is not collected by pytest.
 """
@@ -20,6 +28,7 @@ bytes.  The script is stdlib-only and is not collected by pytest.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -81,6 +90,31 @@ def _queries(path: str, rng: random.Random) -> list[str]:
     return lines
 
 
+def _parses() -> list[str]:
+    import parse_digest
+
+    from cpnet import dsl
+
+    lines = []
+    for k, text in enumerate(parse_digest.corpus(16, share=0.01)):
+        result = dsl.parse_cpnet(text)
+        sha = hashlib.sha256(parse_digest.record(result)).hexdigest()
+        lines.append(f"parse {k}: {len(result.diagnostics)} diagnostics, sha256 {sha}")
+    return lines
+
+
+def _verdicts() -> list[str]:
+    import verdict_digest
+
+    lines, pair = [], None
+    for net, x, y, verdict in verdict_digest.verdicts(16, per_family=1, pairs=3):
+        if (net, x, y) != pair:
+            pair = net, x, y
+            lines.append(f"verdicts {net.format_outcome(x)} > {net.format_outcome(y)}")
+        lines.append(verdict_digest.record(verdict))
+    return lines
+
+
 def transcript(rng: random.Random) -> str:
     from helpers import DIGITS, wide_text
 
@@ -93,12 +127,14 @@ def transcript(rng: random.Random) -> str:
         lines.append(_cli(["validate", f"{name}.cpnet"]))
     Path("digits.cpnet").write_text(DIGITS, encoding="utf-8")
     lines += _queries("digits.cpnet", rng)
+    lines += _parses() + _verdicts()
     return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     (directory,) = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(ROOT / "src"))  # this checkout's cpnet
+    sys.path.insert(0, str(ROOT / "perfbench"))  # the net generator of the parse corpus
     os.makedirs(directory, exist_ok=True)
     os.chdir(directory)
     sys.stdout.buffer.write(transcript(random.Random(16)).encode("utf-8"))

@@ -10,7 +10,9 @@ all 32 combinations of the five cuts, in 3 directions, with no budget and
 with a budget of 3, through both ``dominates`` and ``_search``.  It prints
 the digest of every ``repr((kind, stats, witness))`` in that order, the
 number of queries, and how many were decided by each stage.  The script is
-stdlib-only and is not collected by pytest.
+stdlib-only and is not collected by pytest.  ``tests/transcript.py`` asks a
+slice of the same sweep: one net per family and a few pairs per net, under
+every configuration.
 """
 
 from __future__ import annotations
@@ -22,40 +24,53 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CUTS = ("suffix_fixing", "suffix_extension", "rightmost", "least_improving", "visited_dedup")
 DIRECTIONS = ("improving", "worsening", "bidirectional")
 
 
-def digest(seed: int) -> tuple[str, int, Counter]:
-    """The SHA-256 of the sweep, its query count and its ``decided_by`` counts."""
+def verdicts(seed: int, per_family: int = 6, pairs: int = 150) -> Iterator[tuple]:
+    """The sweep in order, as ``(net, x, y, verdict)``: ``per_family`` nets of
+    each family and ``pairs`` pairs per net, each pair asked as listed in the
+    module docstring."""
     from helpers import random_chain, random_net, random_tree
 
     from cpnet import Outcome, SearchConfig, dominates
     from cpnet.search import _search
 
     rng = random.Random(seed)
-    nets = ([random_chain(rng, rng.randint(3, 7)) for _ in range(6)]
-            + [random_tree(rng, rng.randint(3, 7)) for _ in range(6)]
-            + [random_net(rng, rng.randint(3, 4), (2, 3), 2) for _ in range(6)])
+    nets = ([random_chain(rng, rng.randint(3, 7)) for _ in range(per_family)]
+            + [random_tree(rng, rng.randint(3, 7)) for _ in range(per_family)]
+            + [random_net(rng, rng.randint(3, 4), (2, 3), 2) for _ in range(per_family)])
     configs = [
         SearchConfig(direction=direction, budget=budget, **dict(zip(CUTS, switches)))
         for switches in itertools.product((True, False), repeat=len(CUTS))
         for direction in DIRECTIONS
         for budget in (None, 3)
     ]
-    sha = hashlib.sha256()
-    decided: Counter = Counter()
     for net in nets:
-        for _ in range(150):
+        for _ in range(pairs):
             x, y = (Outcome(tuple(rng.choice(v.domain) for v in net.variables))
                     for _ in range(2))
             for cfg in configs:
                 for ask in (dominates, _search):
-                    verdict = ask(net, x, y, cfg)
-                    sha.update(repr((verdict.kind, verdict.stats, verdict.witness)).encode())
-                    decided[verdict.stats.decided_by] += 1
+                    yield net, x, y, ask(net, x, y, cfg)
+
+
+def record(verdict) -> str:
+    """What the digest hashes of one verdict."""
+    return repr((verdict.kind, verdict.stats, verdict.witness))
+
+
+def digest(seed: int) -> tuple[str, int, Counter]:
+    """The SHA-256 of the sweep, its query count and its ``decided_by`` counts."""
+    sha = hashlib.sha256()
+    decided: Counter = Counter()
+    for _, _, _, verdict in verdicts(seed):
+        sha.update(record(verdict).encode())
+        decided[verdict.stats.decided_by] += 1
     return sha.hexdigest(), sum(decided.values()), decided
 
 
