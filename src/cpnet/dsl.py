@@ -495,6 +495,7 @@ def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
     lines = ["id," + ",".join(net.names)]
     for number, row in enumerate(rows, start=1):
         _expect(row, CatalogRow, "a catalog row")
+        _expect(row.identifier, str, "a catalog row id")
         _usable(net, row.outcome)
         text = row.identifier
         if text.splitlines() != [text]:

@@ -5,20 +5,27 @@ never dominate each other).  Both entry points read one pass over the unique
 outcomes in descending rank (Laing, Thwaites & Gosling, JAIR 2019).  Every
 improving flip raises the rank, so an outcome can only be dominated by one
 visited before it, and two outcomes of equal rank are incomparable.  Each
-outcome is tested against higher-ranked ones by one search per pair in one
+outcome is tested against higher-ranked ones, one pair at a time in one
 direction ("does a dominate b?"); the first that dominates it is its winner
 and places it one layer below the winner's.  The front tests layer 0 only,
 since by transitivity every dominated outcome has a dominator there; the sort
 tests every layer, deepest first, so the first winner is the deepest one.
+
+The pass owns its queries: it compiles the net and encodes and ranks each
+outcome once, then tests a pair by the forward prune (``_Core.prune``) and,
+only if that does not refute it, by the flip search (``_flip_search``).  It
+runs the prune on every net, committed or not, since on catalogs most pairs
+are negatives that the prune refutes faster than a walk dead-ends.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .dsl import CatalogRow
 from .model import CPNet, Outcome, _expect
-from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, _config, dominates
+from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, _config, _flip_search
 
 
 @dataclass
@@ -38,29 +45,38 @@ class _Pass:
     searches: int
 
 
-def _layers(net: CPNet, rows: list[CatalogRow], cfg: SearchConfig, front_only: bool) -> _Pass:
+def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
+            front_only: bool) -> _Pass:
     """The rank-ordered dominance pass over the rows' unique outcomes; ties
     in rank keep first appearance.  With ``front_only`` only layer 0 is
     scanned, giving at most two layers.  The pass reads verdicts only, so it
     builds no witnesses."""
     cfg = replace(cfg, want_witness=False)
+    rows = list(rows)
     for row in rows:
         _expect(row, CatalogRow, "a catalog row")
+        _expect(row.identifier, str, "a catalog row id")
     core, codes = _compiled(net, *(row.outcome for row in rows))
     found = _Pass({}, [], {}, [], 0)
     rank: dict[Outcome, int] = {}
+    code: dict[Outcome, list[int]] = {}
     for row, vals in zip(rows, codes):
         if row.outcome not in rank:
             rank[row.outcome] = core.rank(vals)
+            code[row.outcome] = vals
             found.members[row.outcome] = []
         found.members[row.outcome].append(row.identifier)
     layer: dict[Outcome, int] = {}
     for b in sorted(rank, key=rank.__getitem__, reverse=True):
         layer[b] = 0
+        low, worse = rank[b], code[b]
         scan = found.tiers[:1] if front_only else found.tiers
-        for a in (a for tier in reversed(scan) for a in tier if rank[a] > rank[b]):
-            kind = dominates(net, a, b, cfg).kind
+        for a in (a for tier in reversed(scan) for a in tier if rank[a] > low):
             found.searches += 1
+            better = code[a]
+            if not core.prune(better, worse)[-1]:
+                continue  # refuted, under any budget
+            kind = _flip_search(core, a, b, better, worse, cfg).kind
             if kind == DOMINATES:
                 found.winner[b] = a
                 layer[b] = layer[a] + 1
@@ -75,12 +91,15 @@ def _layers(net: CPNet, rows: list[CatalogRow], cfg: SearchConfig, front_only: b
 
 def pareto_front(
     net: CPNet,
-    rows: list[CatalogRow],
+    rows: Iterable[CatalogRow],
     cfg: SearchConfig | None = None,
 ) -> ParetoReport:
     """Split catalog rows into non-dominated and dominated (with a witness
     winner per loser); comparisons that exhaust the budget leave their id
-    pairs undecided rather than guessing.
+    pairs undecided rather than guessing.  A pair the forward prune refutes
+    is decided without a search, so it is never undecided, under any
+    budget.  ``comparisons_run`` counts the pairs tested, refuted or
+    searched.
     """
     found = _layers(net, rows, _config(cfg), front_only=True)
     winner, members = found.winner, found.members
@@ -105,7 +124,7 @@ def pareto_front(
 
 def sort_catalog(
     net: CPNet,
-    rows: list[CatalogRow],
+    rows: Iterable[CatalogRow],
     cfg: SearchConfig | None = None,
 ) -> list[list[str]]:
     """Topological layering of the catalog's dominance DAG.

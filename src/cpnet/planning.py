@@ -58,6 +58,14 @@ class PlanningProblem:
     goal: frozenset[Proposition]
 
 
+def _expect_problem(problem: PlanningProblem) -> None:
+    """``TypeError`` unless ``problem`` is a :class:`PlanningProblem` whose
+    operators are all :class:`StripsOperator` objects."""
+    _expect(problem, PlanningProblem, "a planning problem")
+    for op in problem.operators:
+        _expect(op, StripsOperator, "a STRIPS operator")
+
+
 def _operator_name(
     variable: str, from_value: str, to_value: str, context: tuple[Proposition, ...]
 ) -> str:
@@ -146,7 +154,7 @@ def render_planning_problem(problem: PlanningProblem) -> str:
     Flat ``(holds VAR value)`` propositions; operators are ground actions
     sorted by name, and the names are PDDL symbols as they are.
     """
-    _expect(problem, PlanningProblem, "a planning problem")
+    _expect_problem(problem)
 
     def holds(prop: Proposition) -> str:
         return f"(holds {prop[0]} {prop[1]})"
@@ -192,7 +200,7 @@ def plan_to_flip_sequence(
     operator; a ``plan`` that is not iterable raises ``TypeError``.
     """
     _usable(net)
-    _expect(problem, PlanningProblem, "a planning problem")
+    _expect_problem(problem)
     by_name = {op.name: op for op in problem.operators}
     state = dict(problem.init)  # variable -> value
     if len(state) != len(problem.init):
@@ -238,7 +246,7 @@ def solve_planning_problem(problem: PlanningProblem, cap: int = 2**16) -> list[s
     Kept deliberately independent of the flip machinery so equivalence can be
     checked route against route.
     """
-    _expect(problem, PlanningProblem, "a planning problem")
+    _expect_problem(problem)
     start, goal = frozenset(problem.init), problem.goal
     if goal <= start:
         return []

@@ -10,8 +10,9 @@ worsening trajectories.
 
 The sweep itself runs on the compiled core of the search engine
 (``_Core.prune``, survivor sets as value bitmasks), which ``dominates`` also
-uses as a pre-check; ``forward_prune`` turns its masks back into names, and
-``value_graph`` shows one variable's graph.
+uses as a pre-check and the catalog pass runs on every pair; ``forward_prune``
+turns its masks back into names, and ``value_graph`` shows one variable's
+graph.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ time linear in the net: the rank of Laing, Thwaites & Gosling (JAIR 2019),
 which every improving flip raises, so ``rank(x) <= rank(y)`` refutes x > y;
 and the forward pruning of Boutilier et al. (JAIR 2004), which refutes it
 when some variable has no value on a worsening walk from x's value to y's.
-``SearchStats.decided_by`` names the stage that answered.
+``SearchStats.decided_by`` names the stage that answered.  ``dominates``
+runs both, except on committed nets (below); the catalog pass
+(``pareto._layers``) asks only pairs of higher rank first, and runs the
+prune on every net, committed or not, before it calls ``_flip_search``.
 
 On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
@@ -33,12 +36,14 @@ that the test suite checks this against.  Such a search is one linear walk
 (``_committed_walk``), a flat loop that flips in place and keeps no frames
 and no visited set: every flip strictly moves the rank, so no outcome
 repeats, and a walk that dead-ends stops there, since no other branch exists
-to unwind to.  The pre-check is skipped, and bidirectional mode runs the
+to unwind to.  ``dominates`` skips the pre-check there, so that a single
+positive query costs only its walk, and bidirectional mode runs the
 improving walk alone (complete on its own).
 
 A validated net is frozen, and the first query compiles it into an integer
 core (``_Core``) that is cached on the net and shared by concurrent queries,
-which only read it but for the witness flips it caches.  A searched outcome
+which only read it but for the witness flips and the prune's reach entries
+it caches.  A searched outcome
 keeps its suffix state as two bitmasks, the variables outside the fixed
 suffix and the frontier of those, built by ``_suffix`` and updated after
 each flip by ``_refix``; the rightmost extension or candidate is found from
@@ -304,6 +309,11 @@ class _Core:
     improving (worsening) flips ``(p, target)`` in least-improving order, so
     its first entry is the adjacent value of the row's ranking.  ``rank`` and
     ``prune`` read the same tables; the catalog pass orders outcomes by rank.
+
+    Queries write two caches on a shared core, and nothing else: ``_flips``,
+    the witness flips ``path`` builds, and ``_reach``, the reach table that
+    ``prune`` alone fills, keyed by a position and its parents' survivor
+    masks and bounded by ``_reach_cap``, the number of table rows.
     """
 
     def __init__(self, net: CPNet):
@@ -319,17 +329,13 @@ class _Core:
         self.single_parent_binary = all(
             len(v.domain) == 2 and len(v.parents) <= 1 for v in variables
         )
-        # fanout[q]: (child, weight of q's value in the child's row) pairs;
-        # fanin[p]: the same pairs seen from the child, (parent, weight)
+        # fanout[q]: (child, weight of q's value in the child's row) pairs
         fanout: list[list[tuple[int, int]]] = [[] for _ in variables]
-        fanin: list[list[tuple[int, int]]] = [[] for _ in variables]
         up, down, anc = [], [], []  # anc: ancestors-or-self masks
-        arcs = []  # the prune's arcs with every row consistent
         for p, v in enumerate(variables):
             weight, mask = len(v.domain), 1 << p
             for q in reversed(parents[p]):
                 fanout[q].append((p, weight))
-                fanin[p].append((q, weight))
                 weight *= len(self.domains[q])
                 mask |= anc[q]
             anc.append(mask)
@@ -343,14 +349,11 @@ class _Core:
                     worse.append(tuple(flip_to[t] for t in ranking[r + 1:]))
             up.append(tuple(better))
             down.append(tuple(worse))
-            size = len(v.domain)
-            arcs.append(_arcs(down[p], range(0, len(worse), size), size))
         self.up = tuple(up)
         self.down = tuple(down)
         self.fanout = tuple(tuple(f) for f in fanout)
-        self.fanin = tuple(tuple(f) for f in fanin)
-        self.arcs = tuple(arcs)
         self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
+        self.parents = tuple(map(tuple, parents))
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
         self.anc = tuple(anc)
         # rank weights A(p) = 1 + sum of A(c)(|D_c| - 1) over the children c
@@ -363,6 +366,10 @@ class _Core:
         self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
         # direction -> {(position, old, new): Flip}, filled by ``path``
         self._flips: dict[str, dict] = {IMPROVING: {}, WORSENING: {}}
+        # (position, its parents' survivor masks) -> reach entry, filled by
+        # ``prune`` up to one entry per table row
+        self._reach: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._reach_cap = sum(map(len, self.down))
 
     def encode(self, values: tuple[str, ...]) -> list[int]:
         """The value indices of an outcome, in topological order.  Raises
@@ -406,26 +413,46 @@ class _Core:
         ``better`` to its value in ``worse`` along the arcs of the rows whose
         parent values all survive; an arc joins a value to the one just below
         it in a row.  Returns the survivor bitmasks in topological order,
-        ending at the first empty one, which refutes better > worse."""
+        ending at the first empty one, which refutes better > worse.
+
+        The walks are read from the reach table ``_reach``.  Its key is a
+        position and the survivor masks of its parents, which decide the
+        rows that count; its entry holds, per value, the values reached
+        below it and above it.  A missing entry is computed from ``down``
+        and stored while the table holds fewer entries than the tables have
+        rows, so a variable with many parents cannot fill memory.  Two
+        queries that race on a key store equal entries.
+        """
         masks: list[int] = []
-        partial = 0  # variables that lost a value
-        for p, fanin in enumerate(self.fanin):
-            size = len(self.domains[p])
-            if partial & self.parent_mask[p]:
-                rows = [0]
-                for q, weight in fanin:
-                    values = [v * weight for v in range(len(self.domains[q])) if masks[q] >> v & 1]
-                    rows = [row + offset for row in rows for offset in values]
-                below, above = _arcs(self.down[p], rows, size)
-            else:
-                below, above = self.arcs[p]
-            keep = _walk(below, better[p]) & _walk(above, worse[p])
+        reach, survivors = self._reach, masks.__getitem__
+        for p, parents in enumerate(self.parents):
+            key = (p, *map(survivors, parents))
+            entry = reach.get(key)
+            if entry is None:
+                entry = self._reach_entry(p, masks)
+                if len(reach) < self._reach_cap:
+                    reach[key] = entry
+            keep = entry[better[p]] & entry[~worse[p]]
             masks.append(keep)
             if not keep:
                 break
-            if keep != (1 << size) - 1:
-                partial |= 1 << p
         return masks
+
+    def _reach_entry(self, p: int, masks: list[int]) -> tuple[int, ...]:
+        """Per value of ``p``, the values that the arcs of the rows whose
+        parent values survive in ``masks`` reach below it, then in reverse
+        order the values they reach above it: one flat tuple, in which
+        ``entry[v]`` is the reach below ``v`` and ``entry[~v]`` the reach
+        above it."""
+        size = len(self.domains[p])
+        rows, weight = [0], size
+        for q in reversed(self.parents[p]):
+            offsets = [v * weight for v in range(len(self.domains[q])) if masks[q] >> v & 1]
+            rows = [row + offset for row in rows for offset in offsets]
+            weight *= len(self.domains[q])
+        below, above = _arcs(self.down[p], rows, size)
+        return (*[_walk(below, v) for v in range(size)],
+                *[_walk(above, v) for v in reversed(range(size))])
 
     def path(self, moves: list[tuple[int, int, int]], direction: str) -> tuple[Flip, ...]:
         """The flips of ``moves``, ``(position, old, new)`` triples; every

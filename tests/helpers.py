@@ -131,6 +131,13 @@ def random_tree(rng: random.Random, n_vars: int) -> CPNet:
     return _finish(rng, variables)
 
 
+def random_star(rng: random.Random, n_parents: int) -> CPNet:
+    """A binary net of ``n_parents`` roots and one child of them all."""
+    roots = [Variable(f"X{i}", (f"v{i}_0", f"v{i}_1"), ()) for i in range(n_parents)]
+    child = Variable(f"X{n_parents}", ("c0", "c1"), tuple(v.name for v in roots))
+    return _finish(rng, [*roots, child])
+
+
 def all_pairs(net: CPNet) -> list[tuple[Outcome, Outcome]]:
     outcomes = [
         Outcome(values)

@@ -348,7 +348,7 @@ class TestPareto:
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
     def test_undecided_exit_code(self, capsys, indep3_path, tmp_path, as_json):
         catalog = tmp_path / "items.csv"
-        catalog.write_text("id,A,B,C\np,a,b,cbar\nq,abar,bbar,c\n")
+        catalog.write_text("id,A,B,C\np,a,b,c\nq,a,bbar,cbar\n")
         code, out, _ = run(
             capsys,
             "pareto",

@@ -7,11 +7,13 @@ import pytest
 
 from cpnet import (
     IMPROVING,
+    CatalogRow,
     CPNet,
     CPNetError,
     Flip,
     FlipSequence,
     Outcome,
+    PlanningProblem,
     SearchConfig,
     all_outcomes,
     apply_flip,
@@ -48,6 +50,7 @@ X, Y = Outcome(("a", "b")), Outcome(("abar", "b"))  # x > y on chain2
 FLIP = Flip("A", "abar", "a", IMPROVING)  # y -> x
 SEQ, JUNK = FlipSequence(Y, (FLIP,)), FlipSequence(Y, ("junk",))
 CFG = SearchConfig()
+BAD_PROBLEM = PlanningProblem((), (5,), frozenset(), frozenset({("A", "a")}))  # 5 is no operator
 
 PROBES = {
     # a net that is not a CPNet
@@ -86,6 +89,10 @@ PROBES = {
     "pareto_front": (TypeError, lambda net: pareto_front(net, [5])),
     "sort_catalog": (TypeError, lambda net: sort_catalog(net, [5])),
     "serialize_catalog": (TypeError, lambda net: serialize_catalog(net, [5])),
+    # catalog row ids
+    "pareto_front-id": (TypeError, lambda net: pareto_front(net, [CatalogRow(5, X)])),
+    "sort_catalog-id": (TypeError, lambda net: sort_catalog(net, [CatalogRow(5, X)])),
+    "serialize_catalog-id": (TypeError, lambda net: serialize_catalog(net, [CatalogRow(5, X)])),
     # configs
     "dominates-cfg": (TypeError, lambda net: dominates(net, X, Y, 5)),
     "order_flips-cfg": (TypeError, lambda net: order_flips(net, Y, [FLIP], X, 5)),
@@ -96,6 +103,10 @@ PROBES = {
     # planning problems and plans
     "render_planning_problem": (TypeError, lambda net: render_planning_problem(5)),
     "solve_planning_problem": (TypeError, lambda net: solve_planning_problem(5)),
+    "render_planning_problem-operator": (
+        TypeError, lambda net: render_planning_problem(BAD_PROBLEM)),
+    "solve_planning_problem-operator": (
+        TypeError, lambda net: solve_planning_problem(BAD_PROBLEM)),
     "plan_to_flip_sequence-problem": (TypeError, lambda net: plan_to_flip_sequence(net, 5, [])),
     "plan_to_flip_sequence-plan": (
         TypeError, lambda net: plan_to_flip_sequence(net, export_planning_problem(net, X, Y), 5)),

@@ -14,8 +14,9 @@ from cpnet import (
     pareto_front,
     sort_catalog,
 )
+from cpnet import search
 from cpnet.search import _Core
-from helpers import all_pairs, outcome, random_net
+from helpers import all_pairs, outcome, random_net, random_tree
 
 
 def _rows(net, *pairs):
@@ -105,8 +106,8 @@ class TestParetoFront:
     def test_budget_leaves_pairs_undecided(self, indep3):
         rows = _rows(
             indep3,
-            ("p", "A=a,B=b,C=cbar"),
-            ("q", "A=abar,B=bbar,C=c"),
+            ("p", "A=a,B=b,C=c"),
+            ("q", "A=a,B=bbar,C=cbar"),
         )
         report = pareto_front(indep3, rows, SearchConfig(budget=1))
         assert report.undecided == [("p", "q")]
@@ -115,14 +116,25 @@ class TestParetoFront:
     def test_undecided_pairs_name_every_duplicate(self, indep3):
         rows = _rows(
             indep3,
-            ("p", "A=a,B=b,C=cbar"),
-            ("q", "A=abar,B=bbar,C=c"),
-            ("p2", "A=a,B=b,C=cbar"),
+            ("p", "A=a,B=b,C=c"),
+            ("q", "A=a,B=bbar,C=cbar"),
+            ("p2", "A=a,B=b,C=c"),
         )
         report = pareto_front(indep3, rows, SearchConfig(budget=1))
         assert report.undecided == [("p", "q"), ("p2", "q")]
         assert report.nondominated == []
         assert report.dominated == []
+
+    def test_a_pair_the_prune_refutes_is_decided_under_any_budget(self, indep3):
+        rows = _rows(
+            indep3,
+            ("p", "A=a,B=b,C=cbar"),
+            ("q", "A=abar,B=bbar,C=c"),
+        )
+        report = pareto_front(indep3, rows, SearchConfig(budget=1))
+        assert report.nondominated == ["p", "q"]
+        assert report.undecided == []
+        assert report == pareto_front(indep3, rows)
 
     def test_settled_loser_leaves_no_open_pair(self, indep3):
         rows = _rows(
@@ -169,6 +181,39 @@ class TestParetoFront:
             for k, layer in enumerate(layers):
                 assert layer and all(chain_above(by_id[i]) == k for i in layer)
             assert sorted(i for layer in layers for i in layer) == sorted(by_id)
+
+
+class TestPass:
+    def test_an_iterator_reads_as_its_list(self, chain3):
+        rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(chain3))]
+        assert pareto_front(chain3, iter(rows)) == pareto_front(chain3, rows)
+        assert sort_catalog(chain3, iter(rows)) == sort_catalog(chain3, rows)
+        assert len(sort_catalog(chain3, iter(rows))) > 1
+
+    def test_no_walk_after_a_refutation(self, monkeypatch):
+        counts = {"kept": 0, "refuted": 0, "walks": 0}
+        prune, walk = _Core.prune, search._committed_walk
+
+        def counted_prune(core, better, worse):
+            masks = prune(core, better, worse)
+            counts["kept" if masks[-1] else "refuted"] += 1
+            return masks
+
+        def counted_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(_Core, "prune", counted_prune)
+        monkeypatch.setattr(search, "_committed_walk", counted_walk)
+        rng = random.Random(93)
+        for _ in range(20):
+            net = random_tree(rng, rng.randint(4, 8))
+            pool = rng.sample(all_outcomes(net), 6)
+            catalog = [CatalogRow(f"r{i}", rng.choice(pool)) for i in range(10)]
+            pareto_front(net, catalog)
+            sort_catalog(net, catalog, SearchConfig(budget=2))
+        assert counts["walks"] == counts["kept"] > 0
+        assert counts["refuted"] > 0
 
 
 class TestSortCatalog:

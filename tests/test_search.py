@@ -34,8 +34,8 @@ from cpnet import (
     verify_witness,
 )
 from cpnet import search
-from cpnet.search import _compiled, _refix, _search, _suffix
-from helpers import all_pairs, outcome, random_chain, random_net, random_tree
+from cpnet.search import _compiled, _Core, _refix, _search, _suffix
+from helpers import all_pairs, outcome, random_chain, random_net, random_star, random_tree
 
 RAW = SearchConfig(
     direction="improving",
@@ -664,6 +664,42 @@ class TestOracleEquivalenceSmoke:
                 forward = dominates(net, x, y).kind == DOMINATES
                 backward = dominates(net, y, x).kind == DOMINATES
                 assert not (forward and backward)
+
+
+class TestReachTable:
+    """``_Core.prune`` reads its walks from a table that queries fill."""
+
+    def test_a_warm_table_prunes_as_a_fresh_core(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            net = random_net(rng, rng.randint(2, 6), (2, 3), 3)
+            warm, fresh = _Core(net), _Core(net)
+            fresh._reach_cap = 0  # keeps no entry, so reads none
+            for _ in range(50):
+                x, y = ([rng.randrange(len(d)) for d in warm.domains] for _ in range(2))
+                assert warm.prune(x, y) == fresh.prune(x, y)
+            assert warm._reach and not fresh._reach
+
+    def test_the_table_keeps_at_most_one_entry_per_row(self):
+        # the child's key can take 3**12 values against 8,216 table rows
+        net = random_star(random.Random(20), 12)
+        core, small, fresh = _Core(net), _Core(net), _Core(net)
+        assert core._reach_cap == sum(len(t) for t in core.down) == 2 * 4096 + 2 * 12
+        small._reach_cap = 40  # so that the bound is reached
+        fresh._reach_cap = 0  # keeps nothing, so computes every entry afresh
+        rng = random.Random(21)
+        for _ in range(2000):
+            x, y = [rng.randrange(2) for _ in core.domains], [rng.randrange(2) for _ in core.domains]
+            for p, parents in enumerate(core.parents):
+                if not parents:  # a root, kept alive: its survivors are 1, 2 or 3
+                    best = 0 if core.down[p][0] else 1
+                    x[p], y[p] = rng.choice([(best, best), (1 - best, 1 - best), (best, 1 - best)])
+            want = fresh.prune(x, y)
+            assert core.prune(x, y) == want
+            assert small.prune(x, y) == want
+            assert len(core._reach) <= core._reach_cap
+            assert len(small._reach) <= 40
+        assert len(small._reach) == 40 and not fresh._reach
 
 
 class TestDecidedBy:

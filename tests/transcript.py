@@ -14,12 +14,14 @@ directions.  Then ``validate`` on broken nets, one with more missing rows than
 ``validate`` lists, and the queries above on a net whose values start with a
 digit.  Every call records its argv, exit code, stdout and stderr.
 
-Last come two seeded slices of the digest scripts.  From the corpus of
+Last come three seeded slices of the digest scripts.  From the corpus of
 ``tests/parse_digest.py`` (a hundredth of each kind of derived text), each
 text's diagnostic count and the SHA-256 of what that script hashes of its
 parse.  From the sweep of ``tests/verdict_digest.py`` (one net per family,
 3 pairs per net), each verdict's kind, stats and witness under every
-combination of cuts and every direction, with and without a budget.
+combination of cuts and every direction, with and without a budget.  From
+the sweep of ``tests/catalog_digest.py`` (one net per family, 2 catalogs per
+net), each catalog's layers and Pareto report at every budget.
 
 ``tests/test_determinism.py`` runs it under two hash seeds and compares the
 bytes.  The script is stdlib-only and is not collected by pytest.
@@ -115,6 +117,19 @@ def _verdicts() -> list[str]:
     return lines
 
 
+def _catalogs() -> list[str]:
+    import catalog_digest
+
+    lines, catalog = [], None
+    for net, rows, budget, layers, report in catalog_digest.passes(16, per_family=1, catalogs=2):
+        if rows is not catalog:
+            catalog = rows
+            lines.append("catalog " + " ".join(
+                f"{row.identifier}:{net.format_outcome(row.outcome)}" for row in rows))
+        lines.append(repr((budget, layers, report)))
+    return lines
+
+
 def transcript(rng: random.Random) -> str:
     from helpers import DIGITS, wide_text
 
@@ -127,7 +142,7 @@ def transcript(rng: random.Random) -> str:
         lines.append(_cli(["validate", f"{name}.cpnet"]))
     Path("digits.cpnet").write_text(DIGITS, encoding="utf-8")
     lines += _queries("digits.cpnet", rng)
-    lines += _parses() + _verdicts()
+    lines += _parses() + _verdicts() + _catalogs()
     return "\n".join(lines) + "\n"
 
 
