@@ -27,14 +27,18 @@ word, so a parsed net's memory grows with its vocabulary, not with its text,
 whose CPT rows repeat every name and value they mention.
 
 The catalog reader also goes line by line: one pass over the non-blank lines, the
-first being the header, and one regex matched at the start of each cell, whose
-start is the cell's column.  A quote after leading whitespace opens a quoted
-cell, where ``""`` is one quote.  No cell, so no id, can hold a line break.
+first being the header.  A line with no quote is split at its commas; any
+other line by one regex matched at the start of each cell, whose start is the
+cell's column.  A quote after leading whitespace opens a quoted cell, where
+``""`` is one quote.  No cell, so no id, can hold a line break.  The reader
+carries cells as plain strings and finds a cell's column only when a
+diagnostic names it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -386,8 +390,13 @@ def _split_csv_line(
     the cell start), or return None after reporting a quote that is never
     closed or text that follows a closing quote."""
     cells: list[tuple[str, int]] = []
-    match, end = _CELL_RE.match, len(line)
     start = 0
+    if '"' not in line:  # every cell is bare: no regex needed
+        for cell in line.split(","):
+            cells.append((cell.strip(), start))
+            start += len(cell) + 1
+        return cells
+    match, end = _CELL_RE.match, len(line)
     while True:
         cell = match(line, start)
         bare, quoted, closed = cell.groups()
@@ -407,6 +416,21 @@ def _split_csv_line(
         start = stop + 1
 
 
+def _cell_texts(
+    line: str, line_no: int, diagnostics: list[SourceDiagnostic]
+) -> list[str] | None:
+    """The cell texts of ``_split_csv_line``, without their columns."""
+    if '"' not in line:
+        return list(map(str.strip, line.split(",")))
+    cells = _split_csv_line(line, line_no, diagnostics)
+    return None if cells is None else [text for text, _ in cells]
+
+
+def _column(line: str, index: int) -> int:
+    """The 1-based column of cell ``index`` of a line that splits."""
+    return _split_csv_line(line, 0, [])[index][1] + 1
+
+
 def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceDiagnostic]]:
     """Parse delimited catalog text: header ``id`` plus all variable names
     (any order), then one record per item.  Blank lines are skipped."""
@@ -420,17 +444,19 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
         diagnostics.append(SourceDiagnostic(1, 1, "empty catalog (missing header)"))
         return rows, diagnostics
     line_no, line = first
-    header = _split_csv_line(line, line_no, diagnostics)
+    header = _cell_texts(line, line_no, diagnostics)
     if header is None:
         return rows, diagnostics
-    if header[0][0] != "id":
+    if header[0] != "id":
         diagnostics.append(SourceDiagnostic(line_no, 1, "header must start with 'id'"))
         return rows, diagnostics
     names = net.names
-    wanted, given = set(names), [name for name, _ in header[1:]]
-    for name, offset in header[1:]:
+    wanted, given = set(names), header[1:]
+    for k, name in enumerate(given, start=1):
         if name not in wanted:
-            diagnostics.append(SourceDiagnostic(line_no, offset + 1, f"unknown column {name!r}"))
+            diagnostics.append(
+                SourceDiagnostic(line_no, _column(line, k), f"unknown column {name!r}")
+            )
     for name in names:
         if name not in given:
             diagnostics.append(SourceDiagnostic(line_no, 1, f"header missing variable {name}"))
@@ -441,11 +467,13 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
 
     # the header names every variable once: look each domain up once, and
     # find the cell of each variable in declaration order
-    domains = [net.variable(name).domain for name in given]
-    order = [given.index(name) + 1 for name in names]
+    domain_of = {v.name: v.domain for v in net.variables}
+    domains = [domain_of[name] for name in given]
+    index = {name: k for k, name in enumerate(given, start=1)}
+    order = [index[name] for name in names]
     seen_ids: dict[str, int] = {}
     for line_no, line in lines:
-        cells = _split_csv_line(line, line_no, diagnostics)
+        cells = _cell_texts(line, line_no, diagnostics)
         if cells is None:
             continue
         if len(cells) != len(header):
@@ -453,32 +481,31 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
                 SourceDiagnostic(line_no, 1, f"expected {len(header)} cells, got {len(cells)}")
             )
             continue
-        identifier, id_offset = cells[0]
+        identifier = cells[0]
         if not identifier:
-            diagnostics.append(SourceDiagnostic(line_no, id_offset + 1, "empty id"))
+            diagnostics.append(SourceDiagnostic(line_no, _column(line, 0), "empty id"))
             continue
         if identifier in seen_ids:
             diagnostics.append(
                 SourceDiagnostic(
                     line_no,
-                    id_offset + 1,
+                    _column(line, 0),
                     f"duplicate id {identifier!r} (first used on line {seen_ids[identifier]})",
                 )
             )
             continue
-        bad = False
-        for (cell, offset), column, domain in zip(cells[1:], given, domains):
-            if cell not in domain:
-                diagnostics.append(
-                    SourceDiagnostic(
-                        line_no, offset + 1, f"unknown value {cell!r} for variable {column}"
+        if not all(map(operator.contains, domains, cells[1:])):
+            for k, (cell, column, domain) in enumerate(zip(cells[1:], given, domains), start=1):
+                if cell not in domain:
+                    diagnostics.append(
+                        SourceDiagnostic(
+                            line_no, _column(line, k),
+                            f"unknown value {cell!r} for variable {column}",
+                        )
                     )
-                )
-                bad = True
-        if bad:
             continue
         seen_ids[identifier] = line_no
-        rows.append(CatalogRow(identifier, Outcome(tuple(cells[i][0] for i in order))))
+        rows.append(CatalogRow(identifier, Outcome(tuple(map(cells.__getitem__, order)))))
     return rows, diagnostics
 
 

@@ -16,6 +16,11 @@ outcome once, then tests a pair by the forward prune (``_Core.prune``) and,
 only if that does not refute it, by the flip search (``_flip_search``).  It
 runs the prune on every net, committed or not, since on catalogs most pairs
 are negatives that the prune refutes faster than a walk dead-ends.
+
+The pass numbers the unique outcomes by first appearance and keeps their
+ranks, codes, layers and row ids in lists indexed by that number; tiers,
+winners and cut pairs hold numbers too.  So each row's outcome is hashed
+once, to find its number, and no outcome is hashed per pair tested.
 """
 
 from __future__ import annotations
@@ -38,10 +43,13 @@ class ParetoReport:
 
 @dataclass
 class _Pass:
-    members: dict[Outcome, list[str]]  # unique outcome -> row ids, by first appearance
-    tiers: list[list[Outcome]]  # unique outcomes by dominance layer
-    winner: dict[Outcome, Outcome]  # dominated outcome -> a dominator
-    cut: list[tuple[Outcome, Outcome]]  # (a, b) where "a dominates b" ran out of budget
+    """The pass over the unique outcomes, each named by its number: its
+    position in order of first appearance."""
+
+    members: list[list[str]]  # number -> row ids
+    tiers: list[list[int]]  # numbers by dominance layer
+    winner: dict[int, int]  # dominated number -> a dominator's
+    cut: list[tuple[int, int]]  # (a, b) where "a dominates b" ran out of budget
     searches: int
 
 
@@ -57,18 +65,21 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
         _expect(row, CatalogRow, "a catalog row")
         _expect(row.identifier, str, "a catalog row id")
     core, codes = _compiled(net, *(row.outcome for row in rows))
-    found = _Pass({}, [], {}, [], 0)
-    rank: dict[Outcome, int] = {}
-    code: dict[Outcome, list[int]] = {}
+    found = _Pass([], [], {}, [], 0)
+    number: dict[Outcome, int] = {}
+    unique: list[Outcome] = []
+    rank: list[int] = []
+    code: list[list[int]] = []
     for row, vals in zip(rows, codes):
-        if row.outcome not in rank:
-            rank[row.outcome] = core.rank(vals)
-            code[row.outcome] = vals
-            found.members[row.outcome] = []
-        found.members[row.outcome].append(row.identifier)
-    layer: dict[Outcome, int] = {}
-    for b in sorted(rank, key=rank.__getitem__, reverse=True):
-        layer[b] = 0
+        k = number.setdefault(row.outcome, len(code))
+        if k == len(code):
+            unique.append(row.outcome)
+            rank.append(core.rank(vals))
+            code.append(vals)
+            found.members.append([])
+        found.members[k].append(row.identifier)
+    layer = [0] * len(code)
+    for b in sorted(range(len(code)), key=rank.__getitem__, reverse=True):
         low, worse = rank[b], code[b]
         scan = found.tiers[:1] if front_only else found.tiers
         for a in (a for tier in reversed(scan) for a in tier if rank[a] > low):
@@ -76,7 +87,7 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
             better = code[a]
             if not core.prune(better, worse)[-1]:
                 continue  # refuted, under any budget
-            kind = _flip_search(core, a, b, better, worse, cfg).kind
+            kind = _flip_search(core, unique[a], unique[b], better, worse, cfg).kind
             if kind == DOMINATES:
                 found.winner[b] = a
                 layer[b] = layer[a] + 1
@@ -106,15 +117,15 @@ def pareto_front(
     # A loser settled elsewhere no longer leaves a pair open; ``a`` is in
     # layer 0, so it never has a winner.
     open_pairs = [(a, b) for a, b in found.cut if b not in winner]
-    blocked = {o for pair in open_pairs for o in pair}
+    blocked = {k for pair in open_pairs for k in pair}
 
     nondominated: list[str] = []
     dominated: list[tuple[str, str]] = []
-    for outcome, ids in members.items():
-        if outcome in winner:
-            winner_id = members[winner[outcome]][0]
+    for k, ids in enumerate(members):
+        if k in winner:
+            winner_id = members[winner[k]][0]
             dominated.extend((loser, winner_id) for loser in ids)
-        elif outcome not in blocked:
+        elif k not in blocked:
             nondominated.extend(ids)
     undecided = sorted(
         (min(i, j), max(i, j)) for a, b in open_pairs for i in members[a] for j in members[b]
@@ -134,4 +145,4 @@ def sort_catalog(
     Comparisons the budget cut off are treated as non-dominating.
     """
     found = _layers(net, rows, _config(cfg), front_only=False)
-    return [sorted(i for o in tier for i in found.members[o]) for tier in found.tiers]
+    return [sorted(i for k in tier for i in found.members[k]) for tier in found.tiers]

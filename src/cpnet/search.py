@@ -42,12 +42,12 @@ improving walk alone (complete on its own).
 
 A validated net is frozen, and the first query compiles it into an integer
 core (``_Core``) that is cached on the net and shared by concurrent queries,
-which only read it but for the witness flips and the prune's reach entries
-it caches.  A searched outcome
-keeps its suffix state as two bitmasks, the variables outside the fixed
-suffix and the frontier of those, built by ``_suffix`` and updated after
-each flip by ``_refix``; the rightmost extension or candidate is found from
-the highest set bit down.  ``fixed_suffix``, ``extend_suffix`` and
+which only read it but for the witness flips, the prune's reach entries and
+the rank's score table it caches.  A searched outcome keeps its suffix
+state as two bitmasks, the variables outside the fixed suffix and the
+frontier of those, built by ``_suffix`` and updated after each flip by
+``_refix``; the rightmost extension or candidate is found from the highest
+set bit down.  ``fixed_suffix``, ``extend_suffix`` and
 ``order_flips`` read that same state; strings return only in witnesses,
 whose flips the core builds once each and then shares (``_Core.path``).
 Every query, view and catalog pass enters the core through ``_compiled``.
@@ -55,6 +55,7 @@ Every query, view and catalog pass enters the core through ``_compiled``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -310,10 +311,12 @@ class _Core:
     its first entry is the adjacent value of the row's ranking.  ``rank`` and
     ``prune`` read the same tables; the catalog pass orders outcomes by rank.
 
-    Queries write two caches on a shared core, and nothing else: ``_flips``,
-    the witness flips ``path`` builds, and ``_reach``, the reach table that
-    ``prune`` alone fills, keyed by a position and its parents' survivor
-    masks and bounded by ``_reach_cap``, the number of table rows.
+    Queries write three caches on a shared core, and nothing else:
+    ``_flips``, the witness flips ``path`` builds; ``_reach``, the reach
+    table that ``prune`` alone fills, keyed by a position and its parents'
+    survivor masks and bounded by ``_reach_cap``, the number of table rows;
+    and ``_scores``, the rank's table, built whole by the first ``rank``
+    call.  Two queries that race on a cache store equal values.
     """
 
     def __init__(self, net: CPNet):
@@ -356,11 +359,6 @@ class _Core:
         self.parents = tuple(map(tuple, parents))
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
         self.anc = tuple(anc)
-        # rank weights A(p) = 1 + sum of A(c)(|D_c| - 1) over the children c
-        weight = [1] * len(variables)
-        for p in reversed(range(len(variables))):
-            weight[p] += sum(weight[c] * (len(self.domains[c]) - 1) for c, _ in fanout[p])
-        self.rank_weight = tuple(weight)
         # mixed-radix weights that make an outcome one int key
         sizes = [len(d) for d in self.domains[:-1]]
         self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
@@ -388,24 +386,36 @@ class _Core:
                 and cfg.suffix_fixing and cfg.suffix_extension)
 
     def rows(self, vals: list[int]) -> list[int]:
-        """Each variable's parent row, times its domain size, at ``vals``."""
+        """Each variable's parent row, times its domain size, at ``vals``.
+        A parent at value 0 adds nothing to its children's rows."""
         rows = [0] * len(vals)
+        fanout = self.fanout
         for q, value in enumerate(vals):
-            for c, weight in self.fanout[q]:
-                rows[c] += value * weight
+            if value:
+                for c, weight in fanout[q]:
+                    rows[c] += value * weight
         return rows
+
+    @functools.cached_property
+    def _scores(self) -> tuple[tuple[int, ...], ...]:
+        """Per position and table cell, the variable's share of the rank:
+        ``A(p)`` times the number of values ranked below the cell's value,
+        where ``A(p)`` is 1 plus ``A(c)(|D_c| - 1)`` summed over the children
+        ``c``.  Built on the first ``rank`` call, so compiling a net never
+        pays for it."""
+        weight = [1] * len(self.down)
+        for p in reversed(range(len(weight))):
+            weight[p] += sum(weight[c] * (len(self.domains[c]) - 1) for c, _ in self.fanout[p])
+        return tuple(tuple(a * len(worse) for worse in down)
+                     for a, down in zip(weight, self.down))
 
     def rank(self, vals: list[int]) -> int:
         """The rank of Laing, Thwaites & Gosling (JAIR 2019): the sum over
         variables of ``A(p)`` times the number of values ranked below the
         current one.  Every improving flip raises it by at least 1, so x > y
         implies rank(x) > rank(y)."""
-        return sum(
-            a * len(down[row + value])
-            for a, down, row, value in zip(
-                self.rank_weight, self.down, self.rows(vals), vals
-            )
-        )
+        cells = map(operator.add, self.rows(vals), vals)
+        return sum(map(operator.getitem, self._scores, cells))
 
     def prune(self, better: list[int], worse: list[int]) -> list[int]:
         """The forward pruning of Boutilier et al. (JAIR 2004).  Parents

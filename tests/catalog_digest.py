@@ -8,19 +8,26 @@ It builds 300 nets from ``SEED`` (100 binary chains and 100 binary trees of
 parents) and draws 5 catalogs per net, each of 10 rows over a pool of 6
 outcomes, so that some rows repeat.  Each catalog is sorted with
 ``sort_catalog`` and split with ``pareto_front``, with no budget and with
-budgets 1, 2, 3, 5 and 8.  It prints three digests, each of the ``repr`` of
+budgets 1, 2, 3, 5 and 8.  It prints four digests, each of the ``repr`` of
 the results in that order:
 
 * ``sort``: every layering, at every budget;
 * ``pareto``: the reports with no budget;
 * ``budgeted pareto``: the reports under a budget, with the number of
-  undecided id pairs they hold.
+  undecided id pairs they hold;
+* ``reader``: the rows and diagnostic texts of ``parse_catalog`` on each
+  catalog written by ``serialize_catalog`` (some ids renamed so that they
+  are quoted or repeat) and on ``MUTANTS`` copies of that text with a few
+  seeded ``EDITS`` each: an inserted space, tab, no-break space, ideographic
+  space, quote, doubled quote, comma, blank line or CRLF, or a deleted
+  character.
 
 The first two are the answers of the pass.  A budgeted report may change
-where a pair that ran out of budget is settled by other means.  The script
-is stdlib-only and is not collected by pytest.  ``tests/transcript.py``
-records a slice of the same sweep: one net per family and two catalogs per
-net.
+where a pair that ran out of budget is settled by other means.  The reader's
+edits are drawn from their own generator, so the first three digests do not
+depend on them.  The script is stdlib-only and is not collected by pytest.
+``tests/transcript.py`` records a slice of the same sweep: one net per
+family and two catalogs per net.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from typing import Iterator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUDGETS = (None, 1, 2, 3, 5, 8)
+MUTANTS = 4
+EDITS = (" ", "\t", "\xa0", "\u3000", '"', '""', ",", "\n\n", "\r\n", "")  # "": a deletion
 
 
 def passes(seed: int, per_family: int = 100, catalogs: int = 5) -> Iterator[tuple]:
@@ -59,21 +68,51 @@ def passes(seed: int, per_family: int = 100, catalogs: int = 5) -> Iterator[tupl
                 yield net, rows, budget, sort_catalog(net, rows, cfg), pareto_front(net, rows, cfg)
 
 
+def texts(rng: random.Random, net, rows) -> Iterator[str]:
+    """The catalog text of ``rows``, some ids renamed so that they are
+    quoted and, at times, the last one renamed to repeat the first; then
+    ``MUTANTS`` copies of that text with one to three edits each."""
+    from cpnet import CatalogRow, serialize_catalog
+
+    renamed = [CatalogRow(rng.choice((i, i + ",", f'"{i}"', f" {i}")), row.outcome)
+               for row in rows for i in [row.identifier]]
+    if rng.random() < 0.25:
+        renamed[-1] = CatalogRow(renamed[0].identifier, renamed[-1].outcome)
+    text = serialize_catalog(net, renamed)
+    yield text
+    for _ in range(MUTANTS):
+        edited = text
+        for _ in range(rng.randint(1, 3)):
+            k, edit = rng.randrange(len(edited) + 1), rng.choice(EDITS)
+            if edit:
+                edited = edited[:k] + edit + edited[k:]
+            else:
+                edited = edited[:k] + edited[k + 1:]
+        yield edited
+
+
 def digest(seed: int) -> dict[str, object]:
-    """The three digests of the sweep, its catalog count and the undecided
+    """The four digests of the sweep, its catalog count and the undecided
     pairs of its budgeted reports."""
+    from cpnet import parse_catalog
+
     sort, pareto, budgeted = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    reader, edits = hashlib.sha256(), random.Random(f"reader {seed}")
     count = undecided = 0
-    for _, _, budget, layers, report in passes(seed):
+    for net, rows, budget, layers, report in passes(seed):
         sort.update(repr((budget, layers)).encode())
         if budget is None:
             count += 1
             pareto.update(repr(report).encode())
+            for text in texts(edits, net, rows):
+                read, diagnostics = parse_catalog(net, text)
+                reader.update(repr((read, [str(d) for d in diagnostics])).encode())
         else:
             budgeted.update(repr((budget, report)).encode())
             undecided += len(report.undecided)
     return {"catalogs": count, "sort": sort.hexdigest(), "pareto": pareto.hexdigest(),
-            "budgeted": budgeted.hexdigest(), "undecided": undecided}
+            "budgeted": budgeted.hexdigest(), "undecided": undecided,
+            "reader": reader.hexdigest()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  pareto sha256 {found['pareto']}")
     print(f"  budgeted pareto sha256 {found['budgeted']}, "
           f"{found['undecided']} undecided pairs")
+    print(f"  reader sha256 {found['reader']}")
     return 0
 
 

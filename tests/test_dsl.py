@@ -11,6 +11,7 @@ from cpnet import (
     CPNetError,
     Outcome,
     Variable,
+    all_outcomes,
     dsl,
     parse_catalog,
     parse_cpnet,
@@ -519,3 +520,53 @@ class TestCatalog:
     def test_serialized_catalog_reads_back_unchanged(self, chain2, pairs):
         rows = [CatalogRow(identifier, outcome(chain2, text)) for identifier, text in pairs]
         assert parse_catalog(chain2, serialize_catalog(chain2, rows)) == (rows, [])
+
+    def test_quote_free_catalogs_need_no_cell_regex(self, monkeypatch):
+        rng = random.Random(20)
+        texts = []
+        for name in FIXTURE_NAMES:
+            net = load_net(name)
+            outcomes = all_outcomes(net)
+            rows = [CatalogRow(f"r{k}", rng.choice(outcomes)) for k in range(8)]
+            texts.append((net, serialize_catalog(net, rows)))
+        chain2 = load_net("chain2")
+        for text in ("id,A,B\np1,q,b\n", "id,A,B\n ,a,b\n", "id,A,B\np1,a,b\np1,abar,b\n",
+                     "id,A,B,C\np1,a,b,c\n", "id,A,B,A\n", "id,A,B\np1,a\n", "name,A,B\n",
+                     "id ,\tB, A\n\n p1\xa0,\u3000b,a\n\np2,a,q,\n\r\np3,abar,bbar\r\n"):
+            texts.append((chain2, text))
+        expected = [parse_catalog(net, text) for net, text in texts]
+        assert any(diagnostics for _, diagnostics in expected)
+
+        class NoRegex:
+            def match(self, *args):
+                raise AssertionError("the cell regex ran on a quote-free line")
+
+        monkeypatch.setattr(dsl, "_CELL_RE", NoRegex())
+        assert [parse_catalog(net, text) for net, text in texts] == expected
+        with pytest.raises(AssertionError, match="cell regex"):
+            parse_catalog(chain2, 'id,A,B\n"p1",a,b\n')
+
+    def test_quote_free_split_equals_the_cell_regex(self):
+        def reference(line):
+            cells, start = [], 0
+            while True:
+                cell = dsl._CELL_RE.match(line, start)
+                cells.append((cell.group(1).strip(), start))
+                if cell.end() == len(line):
+                    return cells
+                start = cell.end() + 1
+
+        rng = random.Random(20)
+        lines = ["", ",", ",,", "a,", ",a", " , ", "a,b,"]
+        alphabet = "ab, \t\xa0\u2003\u3000\x1f"
+        lines += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
+                  for _ in range(3000)]
+        for line in lines:
+            diagnostics = []
+            cells = dsl._split_csv_line(line, 1, diagnostics)
+            assert cells == reference(line), repr(line)
+            assert dsl._cell_texts(line, 1, diagnostics) == [text for text, _ in cells]
+            assert [dsl._column(line, k) for k in range(len(cells))] == [
+                column + 1 for _, column in cells
+            ]
+            assert not diagnostics

@@ -6,6 +6,7 @@ import pytest
 
 from cpnet import (
     CatalogRow,
+    Outcome,
     SearchConfig,
     all_outcomes,
     dominates,
@@ -214,6 +215,33 @@ class TestPass:
             sort_catalog(net, catalog, SearchConfig(budget=2))
         assert counts["walks"] == counts["kept"] > 0
         assert counts["refuted"] > 0
+
+    def test_outcomes_are_hashed_per_row_not_per_pair(self, monkeypatch):
+        counts = {"hashes": 0, "pairs": 0}
+        hash_, prune = Outcome.__hash__, _Core.prune
+
+        def counted_hash(outcome):
+            counts["hashes"] += 1
+            return hash_(outcome)
+
+        def counted_prune(core, better, worse):
+            counts["pairs"] += 1
+            return prune(core, better, worse)
+
+        monkeypatch.setattr(Outcome, "__hash__", counted_hash)
+        monkeypatch.setattr(_Core, "prune", counted_prune)
+        rng = random.Random(20)
+        most_pairs = 0
+        for k in range(16):
+            net = random_tree(rng, 8) if k % 2 else random_net(rng, 5, (2, 3))
+            pool = rng.sample(all_outcomes(net), 10)  # 12 rows, two of them repeats
+            catalog = [CatalogRow(f"r{i}", o) for i, o in enumerate(pool + pool[:2])]
+            for run in (pareto_front, sort_catalog):
+                counts.update(hashes=0, pairs=0)
+                run(net, catalog)
+                assert counts["hashes"] <= 2 * len(catalog), (run.__name__, counts)
+                most_pairs = max(most_pairs, counts["pairs"])
+        assert most_pairs > 2 * len(catalog)
 
 
 class TestSortCatalog:

@@ -1,7 +1,10 @@
 """Search engine: dominance queries, heuristics, oracle, witnesses."""
 
 import hashlib
+import itertools
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -439,6 +442,61 @@ class TestRank:
                 for flip in legal_flips(net, z, "improving"):
                     better = apply_flip(net, z, flip)
                     assert core.rank(core.encode(better.values)) >= rank + 1
+
+    def test_rank_and_rows_equal_their_definitions(self):
+        def weight(net, name, memo):
+            """A(v) = 1 + the sum of A(c)(|D_c| - 1) over the children c."""
+            if name not in memo:
+                memo[name] = 1 + sum(weight(net, c.name, memo) * (len(c.domain) - 1)
+                                     for c in net.variables if name in c.parents)
+            return memo[name]
+
+        rng = random.Random(20)
+        for _ in range(40):
+            net = random_net(rng, rng.randint(2, 5), (2, 3, 4), 3)
+            core, _ = _compiled(net)
+            memo: dict[str, int] = {}
+            for z in all_outcomes(net):
+                value = dict(zip(net.names, z.values))
+                rows, rank = [], 0
+                for name in core.names:
+                    v = net.variable(name)
+                    cond = tuple(value[q] for q in v.parents)
+                    conds = list(itertools.product(*(net.variable(q).domain for q in v.parents)))
+                    rows.append(conds.index(cond) * len(v.domain))
+                    ranking = net.tables[name][cond]
+                    below = len(ranking) - 1 - ranking.index(value[name])
+                    rank += weight(net, name, memo) * below
+                vals = core.encode(z.values)
+                assert core.rows(vals) == rows
+                assert core.rank(vals) == rank
+
+    def test_threads_racing_on_the_rank_table_read_equal_ranks(self):
+        rng = random.Random(20)
+        net = random_net(rng, 12, (2, 3, 4), 3)
+        outcomes = [Outcome(tuple(rng.choice(v.domain) for v in net.variables))
+                    for _ in range(50)]
+        _, codes = _compiled(net, *outcomes)
+        expected = [_Core(net).rank(vals) for vals in codes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                core = _Core(net)  # a fresh core: every thread may build the table
+                ranks: list = [None] * 8
+
+                def read(k, core=core, ranks=ranks):
+                    ranks[k] = [core.rank(vals) for vals in codes]
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert ranks == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHeuristicNecessity:
