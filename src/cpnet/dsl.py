@@ -337,9 +337,8 @@ def serialize_cpnet(net: CPNet) -> str:
     for v in net.variables:
         if v.parents:
             lines.append(f"parents {v.name}: " + ", ".join(v.parents))
-    by_name = {v.name: v for v in net.variables}
-    for v in net.variables:
-        parent_domains = [by_name[p].domain for p in v.parents]
+    for v, ps in zip(net.variables, net._parents_idx):
+        parent_domains = [net.variables[q].domain for q in ps]
         for cond in itertools.product(*parent_domains):
             ranking = net.tables[v.name][cond]
             ctx = _bindings(v.parents, cond)
@@ -467,8 +466,7 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
 
     # the header names every variable once: look each domain up once, and
     # find the cell of each variable in declaration order
-    domain_of = {v.name: v.domain for v in net.variables}
-    domains = [domain_of[name] for name in given]
+    domains = [net.variables[net._index[name]].domain for name in given]
     index = {name: k for k, name in enumerate(given, start=1)}
     order = [index[name] for name in names]
     seen_ids: dict[str, int] = {}

@@ -108,9 +108,9 @@ class CPNet:
     and checked once via :func:`validate`.  ``variables`` is a tuple and
     ``tables`` a read-only mapping of read-only rows, and neither attribute
     can be rebound or deleted, so a net cannot change after validation and
-    may be shared across concurrent queries.  The name index and topological
-    order are cached here by validation, and the search engine compiles its
-    integer core once, on the first query.
+    may be shared across concurrent queries.  Validation caches the name
+    index, parent positions and topological order (as positions) here, and
+    the search engine compiles its integer core once, on the first query.
     """
 
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
@@ -133,7 +133,7 @@ class CPNet:
             raise CPNetError(f"malformed net input: {exc}") from None
         self._report: ValidationReport | None = None
         self._index: dict[str, int] = {}
-        self._topo: tuple[str, ...] = ()
+        self._topo: tuple[int, ...] = ()
         self._parents_idx: list[tuple[int, ...]] = []
         # the integer search core, compiled by cpnet.search on the first query
         self._core: object | None = None
@@ -198,20 +198,19 @@ class CPNet:
 
     # -- validation ------------------------------------------------------
 
-    def _build_caches(self, order: list[int]) -> None:
-        self._index = {v.name: i for i, v in enumerate(self.variables)}
-        self._topo = tuple(self.variables[i].name for i in order)
-        self._parents_idx = [tuple(self._index[p] for p in v.parents) for v in self.variables]
+    def _build_caches(self, index: dict[str, int], parents: list[tuple[int, ...]],
+                      order: list[int]) -> None:
+        self._index = index
+        self._parents_idx = parents
+        self._topo = tuple(order)
 
 
-def _kahn(variables: Sequence[Variable]) -> tuple[list[int], list[str] | None]:
-    """One Kahn pass over the parent graph (undeclared parents ignored), ties
-    broken by declaration order: variable indices in topological order, plus
-    one cycle as a name path if the pass stalls.  Every unplaced variable then
-    has an unplaced parent, so following parent links must revisit one."""
-    index = {v.name: i for i, v in enumerate(variables)}
-    parents = [[index[p] for p in v.parents if p in index] for v in variables]
-    children: list[list[int]] = [[] for _ in variables]
+def _kahn(parents: Sequence[Sequence[int]]) -> tuple[list[int], list[int] | None]:
+    """One Kahn pass over the declared parents' positions, ties broken by
+    declaration order: positions in topological order, plus one cycle as a
+    position path if the pass stalls.  Every unplaced variable then has an
+    unplaced parent, so following parent links must revisit one."""
+    children: list[list[int]] = [[] for _ in parents]
     for i, ps in enumerate(parents):
         for p in ps:
             children[p].append(i)
@@ -225,16 +224,16 @@ def _kahn(variables: Sequence[Variable]) -> tuple[list[int], list[str] | None]:
             waiting[c] -= 1
             if not waiting[c]:
                 heapq.heappush(ready, c)
-    if len(order) == len(variables):
+    if len(order) == len(parents):
         return order, None
     placed = set(order)
-    node = next(i for i in range(len(variables)) if i not in placed)
+    node = next(i for i in range(len(parents)) if i not in placed)
     path: dict[int, None] = {}  # insertion-ordered, with O(1) membership
     while node not in path:
         path[node] = None
         node = next(p for p in parents[node] if p not in placed)
     walk = list(path)
-    return order, [variables[i].name for i in walk[walk.index(node):] + [node]]
+    return order, walk[walk.index(node):] + [node]
 
 
 # The words of net, outcome and query text, which every reader matches; only
@@ -293,7 +292,7 @@ def validate(net: CPNet) -> ValidationReport:
         net._report = ValidationReport(problems)
         return net._report
 
-    declared = {v.name for v in net.variables}
+    index = {v.name: i for i, v in enumerate(net.variables)}
     seen_names: set[str] = set()
     for v in net.variables:
         if v.name in seen_names:
@@ -307,28 +306,28 @@ def validate(net: CPNet) -> ValidationReport:
         for p in v.parents:
             if p == v.name:
                 problems.append(f"variable {v.name} is its own parent")
-            elif p not in declared:
+            elif p not in index:
                 problems.append(f"unknown parent {p} of variable {v.name}")
             if p in seen_parents:
                 problems.append(f"duplicate parent {p} of variable {v.name}")
             seen_parents.add(p)
 
-    order, cycle = _kahn(net.variables)
+    parents = [tuple(index[p] for p in v.parents if p in index) for v in net.variables]
+    order, cycle = _kahn(parents)
     if cycle is not None:
-        problems.append("cycle " + " -> ".join(cycle))
+        problems.append("cycle " + " -> ".join(net.variables[i].name for i in cycle))
 
-    by_name = {v.name: v for v in net.variables}
     for owner in net.tables:
-        if owner not in by_name:
+        if owner not in index:
             problems.append(f"table for unknown variable {owner}")
-    for v in net.variables:
-        if any(p not in by_name for p in v.parents):
+    for v, ps in zip(net.variables, parents):
+        if len(ps) < len(v.parents):  # an undeclared parent
             continue
         rows = net.tables.get(v.name)
         if rows is None:
             problems.append(f"missing CPT for {v.name}")
             continue
-        domains = [dict.fromkeys(by_name[p].domain) for p in v.parents]
+        domains = [dict.fromkeys(net.variables[q].domain) for q in ps]
         missing = math.prod(map(len, domains)) - len(rows)
         later: list[str] = []  # each given row is checked in O(parents)
         for cond, ranking in rows.items():
@@ -354,7 +353,7 @@ def validate(net: CPNet) -> ValidationReport:
 
     report = ValidationReport(problems)
     if report.ok:
-        net._build_caches(order)
+        net._build_caches(index, parents, order)
     net._report = report  # published only once the caches are complete
     return report
 
@@ -374,7 +373,7 @@ def _usable(net: CPNet, *outcomes: Outcome) -> None:
 def topological_order(net: CPNet) -> list[str]:
     """Parents-before-children order, deterministic via declaration-order ties."""
     _usable(net)
-    return list(net._topo)
+    return [net.variables[i].name for i in net._topo]
 
 
 def _targets(net: CPNet, values: tuple[str, ...], var_i: int, direction: str) -> tuple[str, ...]:
@@ -433,13 +432,11 @@ def apply_flip(net: CPNet, outcome: Outcome, flip: Flip) -> Outcome:
 
 
 def _sweep(net: CPNet, pick_last: bool) -> Outcome:
-    values: dict[str, str] = {}
-    for name in net._topo:
-        i = net._index[name]
-        key = tuple(values[p] for p in net.variables[i].parents)
-        ranking = net.tables[name][key]
-        values[name] = ranking[-1] if pick_last else ranking[0]
-    return Outcome(tuple(values[v.name] for v in net.variables))
+    values = [""] * len(net.variables)  # by declaration position
+    for i in net._topo:
+        ranking = net.tables[net.variables[i].name][tuple(values[p] for p in net._parents_idx[i])]
+        values[i] = ranking[-1] if pick_last else ranking[0]
+    return Outcome(tuple(values))
 
 
 def best_outcome(net: CPNet) -> Outcome:

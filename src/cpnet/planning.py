@@ -123,9 +123,11 @@ def export_planning_problem(
 
     Exported problems encode reachability, while dominance is strict; for
     x = y the empty plan would "solve" a false query, so that case is refused
-    unless ``allow_trivial`` is set.
+    unless ``allow_trivial`` is set; it must be a bool.
     """
     _usable(net, x, y)
+    if not isinstance(allow_trivial, bool):
+        raise CPNetError(f"allow_trivial must be a bool, not {allow_trivial!r}")
     if x == y and not allow_trivial:
         raise CPNetError(
             "x = y: the empty plan would solve the problem but strict dominance "
@@ -152,37 +154,42 @@ def render_planning_problem(problem: PlanningProblem) -> str:
     """Byte-deterministic text: one domain document, then one problem document.
 
     Flat ``(holds VAR value)`` propositions; operators are ground actions
-    sorted by name, and the names are PDDL symbols as they are.
+    sorted by name, and the names are PDDL symbols as they are.  A proposition
+    that is not a (variable, value) pair raises ``CPNetError``.
     """
     _expect_problem(problem)
 
     def holds(prop: Proposition) -> str:
-        return f"(holds {prop[0]} {prop[1]})"
+        variable, value = prop
+        return f"(holds {variable} {value})"
 
-    lines = [
-        "(define (domain cpnet-flips)",
-        "  (:requirements :strips)",
-        "  (:predicates (holds ?f ?v))",
-    ]
-    for op in problem.operators:
-        pre = " ".join(holds(p) for p in sorted(op.preconditions))
-        lines.append(f"  (:action {op.name}")
-        lines.append(f"    :precondition (and {pre})")
-        lines.append(f"    :effect (and {holds(op.add)} (not {holds(op.delete)})))")
-    lines.append(")")
-    lines.append("")
+    try:
+        lines = [
+            "(define (domain cpnet-flips)",
+            "  (:requirements :strips)",
+            "  (:predicates (holds ?f ?v))",
+        ]
+        for op in problem.operators:
+            pre = " ".join(holds(p) for p in sorted(op.preconditions))
+            lines.append(f"  (:action {op.name}")
+            lines.append(f"    :precondition (and {pre})")
+            lines.append(f"    :effect (and {holds(op.add)} (not {holds(op.delete)})))")
+        lines.append(")")
+        lines.append("")
 
-    objects = sorted({prop[0] for prop in problem.propositions}) + sorted(
-        {prop[1] for prop in problem.propositions}
-    )
-    lines.append("(define (problem cpnet-query)")
-    lines.append("  (:domain cpnet-flips)")
-    lines.append("  (:objects " + " ".join(dict.fromkeys(objects)) + ")")
-    lines.append("  (:init " + " ".join(holds(p) for p in sorted(problem.init)) + ")")
-    lines.append(
-        "  (:goal (and " + " ".join(holds(p) for p in sorted(problem.goal)) + "))"
-    )
-    lines.append(")")
+        objects = sorted({variable for variable, _ in problem.propositions}) + sorted(
+            {value for _, value in problem.propositions}
+        )
+        lines.append("(define (problem cpnet-query)")
+        lines.append("  (:domain cpnet-flips)")
+        lines.append("  (:objects " + " ".join(dict.fromkeys(objects)) + ")")
+        lines.append("  (:init " + " ".join(holds(p) for p in sorted(problem.init)) + ")")
+        lines.append(
+            "  (:goal (and " + " ".join(holds(p) for p in sorted(problem.goal)) + "))"
+        )
+        lines.append(")")
+    except ValueError:  # a proposition that does not unpack into a pair
+        raise CPNetError("a proposition is not a (variable, value) pair") from None
     return "\n".join(lines) + "\n"
 
 
@@ -196,13 +203,18 @@ def plan_to_flip_sequence(
     replayed state.  Raises :class:`PlanReplayError` when the initial state is
     not an outcome of ``net``, naming the operator when a precondition fails
     or when the net does not sanction its move there, and when some goal
-    proposition does not hold in the final state, or when a step names no
-    operator; a ``plan`` that is not iterable raises ``TypeError``.
+    proposition does not hold in the final state, when a step names no
+    operator, or when an init, precondition or add proposition it reads is
+    not a (variable, value) pair; a ``plan`` that is not iterable raises
+    ``TypeError``.
     """
     _usable(net)
     _expect_problem(problem)
     by_name = {op.name: op for op in problem.operators}
-    state = dict(problem.init)  # variable -> value
+    try:
+        state = dict(problem.init)  # variable -> value
+    except ValueError:  # a proposition that does not unpack into a pair
+        raise PlanReplayError("init: a proposition is not a (variable, value) pair") from None
     if len(state) != len(problem.init):
         raise PlanReplayError("init binds some variable twice")
     try:
@@ -215,12 +227,19 @@ def plan_to_flip_sequence(
         op = by_name.get(name) if isinstance(name, str) else None  # names are strings
         if op is None:
             raise PlanReplayError(f"unknown operator {name!r}")
-        for variable, value in sorted(op.preconditions):
-            if state.get(variable) != value:
-                raise PlanReplayError(
-                    f"operator {name!r}: precondition ({variable}={value}) does not hold"
-                )
-        variable, to_value = op.add
+        try:
+            unmet = [(variable, value) for variable, value in sorted(op.preconditions)
+                     if state.get(variable) != value]
+            variable, to_value = op.add
+        except ValueError:  # a proposition that does not unpack into a pair
+            raise PlanReplayError(
+                f"operator {name!r}: a proposition is not a (variable, value) pair"
+            ) from None
+        if unmet:
+            variable, value = unmet[0]
+            raise PlanReplayError(
+                f"operator {name!r}: precondition ({variable}={value}) does not hold"
+            )
         i = net._index.get(variable)
         if i is not None and to_value in _targets(net, values, i, IMPROVING):
             direction = IMPROVING

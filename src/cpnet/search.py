@@ -310,6 +310,7 @@ class _Core:
     improving (worsening) flips ``(p, target)`` in least-improving order, so
     its first entry is the adjacent value of the row's ranking.  ``rank`` and
     ``prune`` read the same tables; the catalog pass orders outcomes by rank.
+    It is compiled from the net's ``_topo`` and ``_parents_idx`` positions.
 
     Queries write three caches on a shared core, and nothing else:
     ``_flips``, the witness flips ``path`` builds; ``_reach``, the reach
@@ -320,10 +321,10 @@ class _Core:
     """
 
     def __init__(self, net: CPNet):
-        order = [net._index[name] for name in net._topo]
+        order = net._topo
         variables = [net.variables[i] for i in order]
-        pos = {v.name: p for p, v in enumerate(variables)}
-        parents = [[pos[name] for name in v.parents] for v in variables]
+        pos = {i: p for p, i in enumerate(order)}  # declaration -> topological position
+        parents = [[pos[q] for q in net._parents_idx[i]] for i in order]
         self.names = tuple(v.name for v in variables)
         self.domains = tuple(v.domain for v in variables)
         # per position: its value -> index map and its declaration index

@@ -197,7 +197,7 @@ class TestDiagnostics:
             parse_cpnet(blob.decode("latin-1"))
 
     @given(st.text(max_size=200))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_parse_total_on_arbitrary_text(self, text):
         parse_cpnet(text)
 

@@ -139,6 +139,14 @@ class TestExport:
         assert problem.init == problem.goal
         assert solve_planning_problem(problem) == []
 
+    @pytest.mark.parametrize("allow_trivial", ["no", 0, None])
+    def test_allow_trivial_must_be_a_bool(self, chain2, allow_trivial):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        for better in (x, y):
+            with pytest.raises(CPNetError, match="allow_trivial must be a bool"):
+                export_planning_problem(chain2, better, y, allow_trivial=allow_trivial)
+
     def test_rendering_is_deterministic(self, chain3):
         x = outcome(chain3, "A=a,B=b,C=c")
         y = outcome(chain3, "A=abar,B=b,C=cbar")
@@ -242,6 +250,55 @@ class TestPlanReplay:
         problem = PlanningProblem((), (onto_unknown,), init, init)
         with pytest.raises(PlanReplayError, match="'flip-A-abar-to-z'"):
             plan_to_flip_sequence(chain2, problem, [onto_unknown.name])
+
+
+STEP = "flip-A-abar-to-a"  # applies at the init of chain2's exported x > y
+
+
+def _with_step(problem, **fields):
+    """``problem`` with its operator ``STEP`` given ``fields``."""
+    operators = tuple(replace(op, **fields) if op.name == STEP else op
+                      for op in problem.operators)
+    return replace(problem, operators=operators)
+
+
+class TestPropositionPairs:
+    """A proposition that is not a (variable, value) pair ends in a
+    ``CPNetError`` where it is unpacked, not in a bare ``ValueError`` or
+    ``IndexError``: the render reads every proposition, the replay its init
+    and each step's preconditions and add."""
+
+    PAIR = "not a \\(variable, value\\) pair"
+
+    PROBES = {
+        "init-triple": lambda p: replace(p, init=frozenset({("A", "abar", "x"), ("B", "b")})),
+        "init-single": lambda p: replace(p, init=frozenset({("A",), ("B", "b")})),
+        "precondition-triple": lambda p: _with_step(
+            p, preconditions=frozenset({("A", "abar", "x")})),
+        "add-triple": lambda p: _with_step(p, add=("A", "a", "x")),
+        "propositions-single": lambda p: replace(p, propositions=p.propositions + (("A",),)),
+    }
+
+    @staticmethod
+    def exported(chain2):
+        x = outcome(chain2, "A=a,B=b")
+        y = outcome(chain2, "A=abar,B=b")
+        return export_planning_problem(chain2, x, y, "improving")
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_a_proposition_that_is_not_a_pair_is_refused(self, chain2, probe):
+        problem = self.PROBES[probe](self.exported(chain2))
+        with pytest.raises(CPNetError, match=self.PAIR):
+            render_planning_problem(problem)
+        if probe != "propositions-single":  # the replay reads no propositions
+            with pytest.raises(PlanReplayError, match=self.PAIR):
+                plan_to_flip_sequence(chain2, problem, [STEP])
+
+    def test_pairs_render_and_replay_as_before(self, chain2):
+        problem = self.exported(chain2)
+        assert "(:objects A B a abar b bbar)" in render_planning_problem(problem)
+        seq = plan_to_flip_sequence(chain2, problem, [STEP])
+        assert [(f.variable, f.to_value) for f in seq.flips] == [("A", "a")]
 
 
 class TestSolveHandBuiltProblems:
