@@ -44,6 +44,11 @@ def _load_net(path: str) -> model.CPNet:
     return result.net
 
 
+def _load_query(args: argparse.Namespace) -> tuple[model.CPNet, model.Outcome, model.Outcome]:
+    net = _load_net(args.net)
+    return net, dsl.parse_outcome(net, args.better), dsl.parse_outcome(net, args.worse)
+
+
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     return search.SearchConfig(
         direction=args.direction,
@@ -108,9 +113,7 @@ def _cmd_best(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominates(args: argparse.Namespace) -> int:
-    net = _load_net(args.net)
-    better = dsl.parse_outcome(net, args.better)
-    worse = dsl.parse_outcome(net, args.worse)
+    net, better, worse = _load_query(args)
     verdict = search.dominates(net, better, worse, _search_config(args))
     if verdict.kind == search.DOMINATES:
         print("dominates")
@@ -135,9 +138,7 @@ def _cmd_dominates(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    net = _load_net(args.net)
-    better = dsl.parse_outcome(net, args.better)
-    worse = dsl.parse_outcome(net, args.worse)
+    net, better, worse = _load_query(args)
     result = pruning.forward_prune(net, better, worse)
     for name, values in result.pruned_domains.items():
         print(f"{name}: " + ", ".join(values))
@@ -149,9 +150,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_strips(args: argparse.Namespace) -> int:
-    net = _load_net(args.net)
-    better = dsl.parse_outcome(net, args.better)
-    worse = dsl.parse_outcome(net, args.worse)
+    net, better, worse = _load_query(args)
     problem = planning.export_planning_problem(net, better, worse, args.direction)
     text = planning.render_planning_problem(problem)
     try:

@@ -390,11 +390,6 @@ def _split_csv_line(
     closed or text that follows a closing quote."""
     cells: list[tuple[str, int]] = []
     start = 0
-    if '"' not in line:  # every cell is bare: no regex needed
-        for cell in line.split(","):
-            cells.append((cell.strip(), start))
-            start += len(cell) + 1
-        return cells
     match, end = _CELL_RE.match, len(line)
     while True:
         cell = match(line, start)
@@ -427,6 +422,8 @@ def _cell_texts(
 
 def _column(line: str, index: int) -> int:
     """The 1-based column of cell ``index`` of a line that splits."""
+    if '"' not in line:
+        return sum(len(cell) + 1 for cell in line.split(",")[:index]) + 1
     return _split_csv_line(line, 0, [])[index][1] + 1
 
 
@@ -449,17 +446,17 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
     if header[0] != "id":
         diagnostics.append(SourceDiagnostic(line_no, 1, "header must start with 'id'"))
         return rows, diagnostics
-    names = net.names
-    wanted, given = set(names), header[1:]
+    names, given = net.names, header[1:]
+    index = {name: k for k, name in enumerate(given, start=1)}
     for k, name in enumerate(given, start=1):
-        if name not in wanted:
+        if name not in net._index:
             diagnostics.append(
                 SourceDiagnostic(line_no, _column(line, k), f"unknown column {name!r}")
             )
     for name in names:
-        if name not in given:
+        if name not in index:
             diagnostics.append(SourceDiagnostic(line_no, 1, f"header missing variable {name}"))
-    if len(set(given)) != len(given):
+    if len(index) != len(given):
         diagnostics.append(SourceDiagnostic(line_no, 1, "duplicate header column"))
     if diagnostics:
         return rows, diagnostics
@@ -467,7 +464,6 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
     # the header names every variable once: look each domain up once, and
     # find the cell of each variable in declaration order
     domains = [net.variables[net._index[name]].domain for name in given]
-    index = {name: k for k, name in enumerate(given, start=1)}
     order = [index[name] for name in names]
     seen_ids: dict[str, int] = {}
     for line_no, line in lines:

@@ -169,7 +169,7 @@ class CPNet:
     def outcome(self, assignment: Mapping[str, str]) -> Outcome:
         """Build a total outcome from a name -> value mapping."""
         _usable(self)
-        extra = set(assignment) - set(self._index)
+        extra = set(assignment).difference(self._index)
         if extra:
             raise CPNetError(f"unknown variable {sorted(extra)[0]!r} in outcome")
         values = []

@@ -60,10 +60,13 @@ class PlanningProblem:
 
 def _expect_problem(problem: PlanningProblem) -> None:
     """``TypeError`` unless ``problem`` is a :class:`PlanningProblem` whose
-    operators are all :class:`StripsOperator` objects."""
+    operators are all :class:`StripsOperator` objects and whose ``init`` and
+    ``goal`` propositions are all tuples."""
     _expect(problem, PlanningProblem, "a planning problem")
     for op in problem.operators:
         _expect(op, StripsOperator, "a STRIPS operator")
+    for prop in (*problem.init, *problem.goal):
+        _expect(prop, tuple, "a proposition")
 
 
 def _operator_name(
@@ -155,7 +158,8 @@ def render_planning_problem(problem: PlanningProblem) -> str:
 
     Flat ``(holds VAR value)`` propositions; operators are ground actions
     sorted by name, and the names are PDDL symbols as they are.  A proposition
-    that is not a (variable, value) pair raises ``CPNetError``.
+    that is not a (variable, value) pair raises ``CPNetError``; one in
+    ``init`` or ``goal`` that is not a tuple raises ``TypeError``.
     """
     _expect_problem(problem)
 
@@ -205,8 +209,8 @@ def plan_to_flip_sequence(
     or when the net does not sanction its move there, and when some goal
     proposition does not hold in the final state, when a step names no
     operator, or when an init, precondition or add proposition it reads is
-    not a (variable, value) pair; a ``plan`` that is not iterable raises
-    ``TypeError``.
+    not a (variable, value) pair; a ``plan`` that is not iterable, or an
+    ``init`` or ``goal`` proposition that is not a tuple, raises ``TypeError``.
     """
     _usable(net)
     _expect_problem(problem)

@@ -53,6 +53,7 @@ def value_graph(
     A row contributes its adjacent-pair arcs iff every parent binding lies in
     that parent's surviving set (``pruned_so_far``; full domains by default).
     Only successive values of a row are connected, never the long jumps.
+    Arcs are sorted by the tail's domain position, then the head's.
     """
     _usable(net)
     var = net.variable(variable)
@@ -62,22 +63,16 @@ def value_graph(
         name: frozenset(values)
         for name, values in (pruned_so_far or {}).items()
     }
-    arcs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    arcs: set[tuple[str, str]] = set()
     for cond, ranking in net.tables[variable].items():
-        consistent = all(
-            value in surviving.get(parent, frozenset(net.variable(parent).domain))
+        if all(
+            parent not in surviving or value in surviving[parent]
             for parent, value in zip(var.parents, cond)
-        )
-        if not consistent:
-            continue
-        for a, b in zip(ranking, ranking[1:]):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                arcs.append((a, b))
+        ):
+            arcs.update(zip(ranking, ranking[1:]))
     order = {value: i for i, value in enumerate(var.domain)}
-    arcs.sort(key=lambda arc: (order[arc[0]], order[arc[1]]))
-    return ValueGraph(variable, var.domain, tuple(arcs))
+    ordered = sorted(arcs, key=lambda arc: (order[arc[0]], order[arc[1]]))
+    return ValueGraph(variable, var.domain, tuple(ordered))
 
 
 def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
@@ -94,6 +89,6 @@ def forward_prune(net: CPNet, x: Outcome, y: Outcome) -> PruneResult:
         for p, mask in enumerate(masks)
         if mask
     }
-    if masks and not masks[-1]:
+    if not masks[-1]:
         return PruneResult(surviving, failed_variable=core.names[len(masks) - 1])
     return PruneResult(surviving)

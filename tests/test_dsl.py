@@ -409,6 +409,14 @@ class TestCatalog:
         assert not diagnostics
         assert rows[0].outcome == outcome(chain2, "A=a,B=bbar")
 
+    def test_header_diagnostics_in_order(self, chain2):
+        _, diagnostics = parse_catalog(chain2, "id,A,C,A\np1,a,c,a\n")
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [
+            (1, 6, "unknown column 'C'"),
+            (1, 1, "header missing variable B"),
+            (1, 1, "duplicate header column"),
+        ]
+
     def test_quoted_cells(self, chain2):
         rows, diagnostics = parse_catalog(chain2, 'id,A,B\n"p,1",a,b\n')
         assert not diagnostics

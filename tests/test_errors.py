@@ -3,6 +3,8 @@ not of its documented type raises ``TypeError``, never ``AttributeError``.
 A few calls check such an argument as a value and raise ``CPNetError``; a
 witness whose flips are not ``Flip`` objects proves nothing."""
 
+from dataclasses import replace
+
 import pytest
 
 from cpnet import (
@@ -51,6 +53,12 @@ FLIP = Flip("A", "abar", "a", IMPROVING)  # y -> x
 SEQ, JUNK = FlipSequence(Y, (FLIP,)), FlipSequence(Y, ("junk",))
 CFG = SearchConfig()
 BAD_PROBLEM = PlanningProblem((), (5,), frozenset(), frozenset({("A", "a")}))  # 5 is no operator
+
+
+def string_init(net):
+    """chain2's exported x > y problem, its init written as strings."""
+    return replace(export_planning_problem(net, X, Y), init=frozenset({"Aa", "Bb"}))
+
 
 PROBES = {
     # a net that is not a CPNet
@@ -110,6 +118,13 @@ PROBES = {
     "plan_to_flip_sequence-problem": (TypeError, lambda net: plan_to_flip_sequence(net, 5, [])),
     "plan_to_flip_sequence-plan": (
         TypeError, lambda net: plan_to_flip_sequence(net, export_planning_problem(net, X, Y), 5)),
+    # a string in init is not a (variable, value) pair, though "Aa" unpacks as one
+    "render_planning_problem-init": (
+        TypeError, lambda net: render_planning_problem(string_init(net))),
+    "solve_planning_problem-init": (
+        TypeError, lambda net: solve_planning_problem(string_init(net))),
+    "plan_to_flip_sequence-init": (
+        TypeError, lambda net: plan_to_flip_sequence(net, string_init(net), [])),
     # construction
     "CPNet": (CPNetError, lambda net: CPNet(5, {})),
 }

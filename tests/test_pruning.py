@@ -33,6 +33,24 @@ class TestValueGraph:
         graph = value_graph(net, "V")
         assert set(graph.arcs) == {("v1", "v2"), ("v2", "v3")}
 
+    def _ternary(self):
+        return make_net(
+            [("P", ["p", "pbar"], []), ("V", ["v1", "v2", "v3"], ["P"])],
+            {"P": {(): ("p", "pbar")},
+             "V": {("p",): ("v1", "v3", "v2"), ("pbar",): ("v1", "v2", "v3")}},
+        )
+
+    def test_arcs_sorted_by_tail_then_head(self):
+        # the rows give (v1,v3), (v3,v2), then (v1,v2), (v2,v3)
+        graph = value_graph(self._ternary(), "V")
+        assert graph.arcs == (("v1", "v2"), ("v1", "v3"), ("v2", "v3"), ("v3", "v2"))
+
+    def test_survivors_of_a_non_parent_are_ignored(self):
+        net = self._ternary()
+        assert value_graph(net, "V", {"V": ("v1",)}).arcs == value_graph(net, "V").arcs
+        assert value_graph(net, "V", {"V": (), "P": ("p",)}).arcs == (
+            ("v1", "v3"), ("v3", "v2"))
+
 
 class TestForwardPrune:
     def _query(self, net):
