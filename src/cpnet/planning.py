@@ -15,9 +15,10 @@ its ``add`` one; a goal holds when each of its propositions holds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .model import (
     IMPROVING,
@@ -34,6 +35,9 @@ from .model import (
 )
 
 Proposition = tuple[str, str]  # (variable, value)
+
+_NAME, _PRECONDITIONS = attrgetter("name"), attrgetter("preconditions")
+_ADD, _DELETE = attrgetter("add"), attrgetter("delete")
 
 
 class PlanReplayError(CPNetError):
@@ -58,31 +62,50 @@ class PlanningProblem:
     goal: frozenset[Proposition]
 
 
+def _expect_each(items: Callable[[], Iterable[object]], kind: type, what: str) -> None:
+    """``TypeError`` unless each of ``items()`` is a ``kind``: one pass in C,
+    and a second, to name the offender, only when the first fails."""
+    if not all(map(isinstance, items(), repeat(kind))):
+        for item in items():
+            _expect(item, kind, what)
+
+
 def _expect_problem(problem: PlanningProblem) -> None:
     """``TypeError`` unless ``problem`` is a :class:`PlanningProblem` whose
     operators are all :class:`StripsOperator` objects and whose ``init`` and
     ``goal`` propositions are all tuples."""
     _expect(problem, PlanningProblem, "a planning problem")
-    for op in problem.operators:
-        _expect(op, StripsOperator, "a STRIPS operator")
-    for prop in (*problem.init, *problem.goal):
-        _expect(prop, tuple, "a proposition")
+    _expect_each(lambda: problem.operators, StripsOperator, "a STRIPS operator")
+    _expect_each(lambda: chain(problem.init, problem.goal), tuple, "a proposition")
 
 
-def _operator_name(
-    variable: str, from_value: str, to_value: str, context: tuple[Proposition, ...]
-) -> str:
-    """``flip-VAR-FROM-to-TO``, then ``-if`` and ``-PARENT-value`` per parent.
+def _operators(net: CPNet, direction: str) -> tuple[StripsOperator, ...]:
+    """The operators of :func:`to_strips`, sorted by name, for a usable net
+    and a checked direction.
 
-    ``validate`` admits no ``-`` in names and values, so the words sit at fixed
-    places and the name is injective; it starts with a letter and is a valid
-    PDDL symbol.
+    A name is ``flip-VAR-FROM-to-TO``, then ``-if`` and ``-PARENT-value`` per
+    parent.  ``validate`` admits no ``-`` in names and values, so the words sit
+    at fixed places and the name is injective; it starts with a letter and is
+    a valid PDDL symbol.
     """
-    words = ["flip", variable, from_value, "to", to_value]
-    if context:
-        words.append("if")
-        words.extend(word for binding in context for word in binding)
-    return "-".join(words)
+    improving = direction == IMPROVING
+    operators: list[StripsOperator] = []
+    for v in net.variables:
+        name = v.name
+        for cond, ranking in net.tables[name].items():
+            context = tuple(zip(v.parents, cond))
+            tail = "-if" + "".join([f"-{p}-{c}" for p, c in context]) if context else ""
+            for better, worse in zip(ranking, ranking[1:]):
+                frm, to = (worse, better) if improving else (better, worse)
+                delete = (name, frm)
+                operators.append(StripsOperator(
+                    f"flip-{name}-{frm}-to-{to}{tail}",
+                    frozenset((*context, delete)),
+                    (name, to),
+                    delete,
+                ))
+    operators.sort(key=_NAME)
+    return tuple(operators)
 
 
 def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
@@ -93,25 +116,7 @@ def to_strips(net: CPNet, direction: str) -> list[StripsOperator]:
     """
     _usable(net)
     _check_direction(direction)
-    operators: list[StripsOperator] = []
-    for v in net.variables:
-        for cond, ranking in net.tables[v.name].items():
-            context = tuple(zip(v.parents, cond))
-            for better, worse in zip(ranking, ranking[1:]):
-                if direction == IMPROVING:
-                    frm, to = worse, better
-                else:
-                    frm, to = better, worse
-                operators.append(
-                    StripsOperator(
-                        name=_operator_name(v.name, frm, to, context),
-                        preconditions=frozenset(context) | {(v.name, frm)},
-                        add=(v.name, to),
-                        delete=(v.name, frm),
-                    )
-                )
-    operators.sort(key=lambda op: op.name)
-    return operators
+    return list(_operators(net, direction))
 
 
 def export_planning_problem(
@@ -136,20 +141,14 @@ def export_planning_problem(
             "x = y: the empty plan would solve the problem but strict dominance "
             "is false; pass allow_trivial=True to export anyway"
         )
-    propositions = tuple(
-        (v.name, value) for v in net.variables for value in v.domain
-    )
-    if direction == WORSENING:
-        init_outcome, goal_outcome = x, y
-    else:
-        init_outcome, goal_outcome = y, x
-    init = frozenset(zip(net.names, init_outcome.values))
-    goal = frozenset(zip(net.names, goal_outcome.values))
+    _check_direction(direction)
+    start, end = (x, y) if direction == WORSENING else (y, x)
+    names = net.names
     return PlanningProblem(
-        propositions=propositions,
-        operators=tuple(to_strips(net, direction)),
-        init=init,
-        goal=goal,
+        propositions=tuple([(v.name, value) for v in net.variables for value in v.domain]),
+        operators=_operators(net, direction),
+        init=frozenset(zip(names, start.values)),
+        goal=frozenset(zip(names, end.values)),
     )
 
 
@@ -158,43 +157,47 @@ def render_planning_problem(problem: PlanningProblem) -> str:
 
     Flat ``(holds VAR value)`` propositions; operators are ground actions
     sorted by name, and the names are PDDL symbols as they are.  A proposition
-    that is not a (variable, value) pair raises ``CPNetError``; one in
-    ``init`` or ``goal`` that is not a tuple raises ``TypeError``.
+    that is not a tuple raises ``TypeError``, and a tuple that is not a
+    (variable, value) pair raises ``CPNetError``.
     """
     _expect_problem(problem)
-
-    def holds(prop: Proposition) -> str:
-        variable, value = prop
-        return f"(holds {variable} {value})"
-
+    ops = problem.operators
+    _expect_each(
+        lambda: chain(*map(_PRECONDITIONS, ops), map(_ADD, ops), map(_DELETE, ops),
+                      problem.propositions),
+        tuple, "a proposition",
+    )
     try:
-        lines = [
-            "(define (domain cpnet-flips)",
-            "  (:requirements :strips)",
-            "  (:predicates (holds ?f ?v))",
-        ]
-        for op in problem.operators:
-            pre = " ".join(holds(p) for p in sorted(op.preconditions))
-            lines.append(f"  (:action {op.name}")
-            lines.append(f"    :precondition (and {pre})")
-            lines.append(f"    :effect (and {holds(op.add)} (not {holds(op.delete)})))")
-        lines.append(")")
-        lines.append("")
-
-        objects = sorted({variable for variable, _ in problem.propositions}) + sorted(
-            {value for _, value in problem.propositions}
-        )
-        lines.append("(define (problem cpnet-query)")
-        lines.append("  (:domain cpnet-flips)")
-        lines.append("  (:objects " + " ".join(dict.fromkeys(objects)) + ")")
-        lines.append("  (:init " + " ".join(holds(p) for p in sorted(problem.init)) + ")")
-        lines.append(
-            "  (:goal (and " + " ".join(holds(p) for p in sorted(problem.goal)) + "))"
-        )
-        lines.append(")")
+        actions = []
+        for op in ops:
+            pre = " ".join([f"(holds {v} {w})" for v, w in sorted(op.preconditions)])
+            (add, to), (delete, frm) = op.add, op.delete
+            actions.append(
+                f"  (:action {op.name}\n    :precondition (and {pre})\n"
+                f"    :effect (and (holds {add} {to}) (not (holds {delete} {frm}))))"
+            )
+        variables = {variable for variable, _ in problem.propositions}
+        values = {value for _, value in problem.propositions}
+        init = " ".join([f"(holds {v} {w})" for v, w in sorted(problem.init)])
+        goal = " ".join([f"(holds {v} {w})" for v, w in sorted(problem.goal)])
     except ValueError:  # a proposition that does not unpack into a pair
         raise CPNetError("a proposition is not a (variable, value) pair") from None
-    return "\n".join(lines) + "\n"
+    objects = dict.fromkeys(sorted(variables) + sorted(values))
+    return "\n".join([
+        "(define (domain cpnet-flips)",
+        "  (:requirements :strips)",
+        "  (:predicates (holds ?f ?v))",
+        *actions,
+        ")",
+        "",
+        "(define (problem cpnet-query)",
+        "  (:domain cpnet-flips)",
+        f"  (:objects {' '.join(objects)})",
+        f"  (:init {init})",
+        f"  (:goal (and {goal}))",
+        ")",
+        "",
+    ])
 
 
 def plan_to_flip_sequence(
@@ -208,9 +211,10 @@ def plan_to_flip_sequence(
     not an outcome of ``net``, naming the operator when a precondition fails
     or when the net does not sanction its move there, and when some goal
     proposition does not hold in the final state, when a step names no
-    operator, or when an init, precondition or add proposition it reads is
-    not a (variable, value) pair; a ``plan`` that is not iterable, or an
-    ``init`` or ``goal`` proposition that is not a tuple, raises ``TypeError``.
+    operator, or when an init, precondition or add proposition it reads is a
+    tuple but not a (variable, value) pair; a ``plan`` that is not iterable,
+    or an ``init`` or ``goal`` proposition, or a precondition or add
+    proposition of a replayed step, that is not a tuple raises ``TypeError``.
     """
     _usable(net)
     _expect_problem(problem)
@@ -226,24 +230,16 @@ def plan_to_flip_sequence(
     except CPNetError as exc:
         raise PlanReplayError(f"init is not an outcome of this net: {exc}") from None
     values = list(start.values)
+    holds = state.items().__contains__  # False for anything but a pair that holds
     flips: list[Flip] = []
     for name in plan:
         op = by_name.get(name) if isinstance(name, str) else None  # names are strings
         if op is None:
             raise PlanReplayError(f"unknown operator {name!r}")
-        try:
-            unmet = [(variable, value) for variable, value in sorted(op.preconditions)
-                     if state.get(variable) != value]
-            variable, to_value = op.add
-        except ValueError:  # a proposition that does not unpack into a pair
-            raise PlanReplayError(
-                f"operator {name!r}: a proposition is not a (variable, value) pair"
-            ) from None
-        if unmet:
-            variable, value = unmet[0]
-            raise PlanReplayError(
-                f"operator {name!r}: precondition ({variable}={value}) does not hold"
-            )
+        add = op.add
+        if not (all(map(holds, op.preconditions)) and isinstance(add, tuple) and len(add) == 2):
+            _expect_step(name, op, state)
+        variable, to_value = add
         i = net._index.get(variable)
         if i is not None and to_value in _targets(net, values, i, IMPROVING):
             direction = IMPROVING
@@ -261,31 +257,80 @@ def plan_to_flip_sequence(
     return FlipSequence(start, tuple(flips))
 
 
+def _expect_step(name: str, op: StripsOperator, state: dict[str, str]) -> None:
+    """Raise the replay's error for step ``name``, whose preconditions do not
+    all hold or whose ``add`` is not a pair: first for a precondition or the
+    add that is not a (variable, value) pair, then for the first precondition,
+    in sorted order, that does not hold."""
+    preconditions = sorted(op.preconditions)
+    for prop in (*preconditions, op.add):
+        _expect(prop, tuple, "a proposition")
+        if len(prop) != 2:
+            raise PlanReplayError(
+                f"operator {name!r}: a proposition is not a (variable, value) pair"
+            )
+    for variable, value in preconditions:
+        if state.get(variable) != value:
+            raise PlanReplayError(
+                f"operator {name!r}: precondition ({variable}={value}) does not hold"
+            )
+
+
 def solve_planning_problem(problem: PlanningProblem, cap: int = 2**16) -> list[str] | None:
     """Breadth-first plan search over proposition sets; None when unsolvable.
 
-    States are the sets themselves, under the rules above; an operator that
-    does not delete its own precondition is applied as STRIPS states it.
-    Kept deliberately independent of the flip machinery so equivalence can be
-    checked route against route.
+    Each proposition the problem names gets one bit, in the order it is first
+    read, and a state is the int mask of the propositions that hold.  So an
+    operator applies when ``pre & ~state == 0``, its successor is
+    ``state & ~delete | add``, and the goal holds when ``goal & ~state == 0``:
+    the rules above, on sets written as bits.  An operator that does not
+    delete its own precondition is applied as STRIPS states it.  Each seen
+    state keeps the state and operator it was first reached by, and the plan
+    is read back along them.  A proposition that is not a tuple raises
+    ``TypeError`` when it is numbered; the operators are numbered only when
+    the goal does not already hold at the start.  Kept deliberately independent of the flip machinery so
+    equivalence can be checked route against route.
     """
     _expect_problem(problem)
-    start, goal = frozenset(problem.init), problem.goal
-    if goal <= start:
+    bits: dict[Proposition, int] = {}
+
+    def mask(props: Iterable[Proposition]) -> int:
+        m = 0
+        for prop in props:
+            bit = bits.get(prop)
+            if bit is None:
+                _expect(prop, tuple, "a proposition")
+                bit = bits[prop] = 1 << len(bits)
+            m |= bit
+        return m
+
+    start, goal = mask(problem.init), mask(problem.goal)
+    if not goal & ~start:
         return []
-    seen = {start}
-    queue: deque[tuple[frozenset[Proposition], list[str]]] = deque([(start, [])])
-    while queue:
-        state, path = queue.popleft()
-        if len(seen) > cap:
+    ops = [
+        (mask(op.preconditions), ~mask((op.delete,)), mask((op.add,)), op.name)
+        for op in problem.operators
+    ]
+    came_from: dict[int, tuple[int, str] | None] = {start: None}  # the seen states
+    queue = [start]
+    for state in queue:  # breadth-first: the loop reaches the states appended below
+        if len(came_from) > cap:
             raise CPNetError(f"state space exceeds cap {cap}")
-        for op in problem.operators:
-            if not op.preconditions <= state:
+        absent = ~state
+        for pre, keep, add, name in ops:
+            if pre & absent:
                 continue
-            nxt = state - {op.delete} | {op.add}
-            if goal <= nxt:
-                return path + [op.name]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path + [op.name]))
+            nxt = state & keep | add
+            if not goal & ~nxt:
+                plan = [name]
+                step = came_from[state]
+                while step is not None:
+                    state, name = step
+                    plan.append(name)
+                    step = came_from[state]
+                plan.reverse()
+                return plan
+            if nxt not in came_from:
+                came_from[nxt] = (state, name)
+                queue.append(nxt)
     return None

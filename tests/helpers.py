@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 
 from cpnet import (
     CPNet,
+    CPNetError,
     Outcome,
+    PlanningProblem,
     Variable,
     dsl,
     model,
@@ -159,3 +162,29 @@ def brute_force_improving_flips(net: CPNet, z: Outcome) -> set[tuple[str, str, s
                 break
             found.add((v.name, current, candidate))
     return found
+
+
+def reference_solve(problem: PlanningProblem, cap: int = 2**16) -> list[str] | None:
+    """The breadth-first solver over ``frozenset`` states that
+    ``solve_planning_problem`` replaced, kept as its oracle: the same search,
+    operator order, goal test and cap, on the sets themselves.  It has no
+    entry check, so it takes only well-typed problems."""
+    start, goal = frozenset(problem.init), problem.goal
+    if goal <= start:
+        return []
+    seen = {start}
+    queue: deque[tuple[frozenset, list[str]]] = deque([(start, [])])
+    while queue:
+        state, path = queue.popleft()
+        if len(seen) > cap:
+            raise CPNetError(f"state space exceeds cap {cap}")
+        for op in problem.operators:
+            if not op.preconditions <= state:
+                continue
+            nxt = state - {op.delete} | {op.add}
+            if goal <= nxt:
+                return path + [op.name]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, path + [op.name]))
+    return None

@@ -60,6 +60,23 @@ def string_init(net):
     return replace(export_planning_problem(net, X, Y), init=frozenset({"Aa", "Bb"}))
 
 
+STEP = "flip-A-abar-to-a"  # the one step of chain2's exported x > y plan
+
+
+def string_step(net, **fields):
+    """chain2's exported x > y problem with ``fields`` of operator ``STEP``
+    replaced, each a proposition written as a string."""
+    problem = export_planning_problem(net, X, Y)
+    return replace(problem, operators=tuple(
+        replace(op, **fields) if op.name == STEP else op for op in problem.operators))
+
+
+def string_propositions(net):
+    """chain2's exported x > y problem with ``"Cc"`` among its propositions."""
+    problem = export_planning_problem(net, X, Y)
+    return replace(problem, propositions=(*problem.propositions, "Cc"))
+
+
 PROBES = {
     # a net that is not a CPNet
     "validate": (TypeError, lambda net: validate(5)),
@@ -125,6 +142,28 @@ PROBES = {
         TypeError, lambda net: solve_planning_problem(string_init(net))),
     "plan_to_flip_sequence-init": (
         TypeError, lambda net: plan_to_flip_sequence(net, string_init(net), [])),
+    # nor is one in propositions or in an operator
+    "render_planning_problem-propositions": (
+        TypeError, lambda net: render_planning_problem(string_propositions(net))),
+    "render_planning_problem-precondition": (
+        TypeError, lambda net: render_planning_problem(
+            string_step(net, preconditions=frozenset({"Aa"})))),
+    "render_planning_problem-add": (
+        TypeError, lambda net: render_planning_problem(string_step(net, add="Aa"))),
+    "render_planning_problem-delete": (
+        TypeError, lambda net: render_planning_problem(string_step(net, delete="Aa"))),
+    "solve_planning_problem-precondition": (
+        TypeError, lambda net: solve_planning_problem(
+            string_step(net, preconditions=frozenset({"Aa"})))),
+    "solve_planning_problem-add": (
+        TypeError, lambda net: solve_planning_problem(string_step(net, add="Aa"))),
+    "solve_planning_problem-delete": (
+        TypeError, lambda net: solve_planning_problem(string_step(net, delete="Aa"))),
+    "plan_to_flip_sequence-precondition": (
+        TypeError, lambda net: plan_to_flip_sequence(
+            net, string_step(net, preconditions=frozenset({"Aa"})), [STEP])),
+    "plan_to_flip_sequence-add": (
+        TypeError, lambda net: plan_to_flip_sequence(net, string_step(net, add="Aa"), [STEP])),
     # construction
     "CPNet": (CPNetError, lambda net: CPNet(5, {})),
 }

@@ -14,14 +14,17 @@ directions.  Then ``validate`` on broken nets, one with more missing rows than
 ``validate`` lists, and the queries above on a net whose values start with a
 digit.  Every call records its argv, exit code, stdout and stderr.
 
-Last come three seeded slices of the digest scripts.  From the corpus of
+Last come four seeded slices of the digest scripts.  From the corpus of
 ``tests/parse_digest.py`` (a hundredth of each kind of derived text), each
 text's diagnostic count and the SHA-256 of what that script hashes of its
 parse.  From the sweep of ``tests/verdict_digest.py`` (one net per family,
 3 pairs per net), each verdict's kind, stats and witness under every
 combination of cuts and every direction, with and without a budget.  From
 the sweep of ``tests/catalog_digest.py`` (one net per family, 2 catalogs per
-net), each catalog's layers and Pareto report at every budget.
+net), each catalog's layers and Pareto report at every budget.  From the
+sweep of ``tests/plan_digest.py`` (one net per family, 2 pairs of each kind
+per net), each problem's rendered text as a SHA-256, its plan, ``None`` or
+cap message, and the witness its plan replays to.
 
 ``tests/test_determinism.py`` runs it under two hash seeds and compares the
 bytes.  The script is stdlib-only and is not collected by pytest.
@@ -130,6 +133,18 @@ def _catalogs() -> list[str]:
     return lines
 
 
+def _plans() -> list[str]:
+    import plan_digest
+
+    lines = []
+    for net, x, y, direction, problem in plan_digest.problems(16, per_family=1, pairs=2):
+        text, plan, witness = plan_digest.trip(net, problem)
+        sha = hashlib.sha256(text.encode()).hexdigest()
+        lines.append(f"plan {net.format_outcome(x)} > {net.format_outcome(y)} {direction}: "
+                     f"text sha256 {sha}, {plan!r}, {witness!r}")
+    return lines
+
+
 def transcript(rng: random.Random) -> str:
     from helpers import DIGITS, wide_text
 
@@ -142,7 +157,7 @@ def transcript(rng: random.Random) -> str:
         lines.append(_cli(["validate", f"{name}.cpnet"]))
     Path("digits.cpnet").write_text(DIGITS, encoding="utf-8")
     lines += _queries("digits.cpnet", rng)
-    lines += _parses() + _verdicts() + _catalogs()
+    lines += _parses() + _verdicts() + _catalogs() + _plans()
     return "\n".join(lines) + "\n"
 
 
