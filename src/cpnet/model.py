@@ -100,6 +100,25 @@ _FROZEN = ("variables", "tables")
 # owner's domain most-preferred first.
 TableRows = Mapping[tuple[str, ...], Sequence[str]]
 
+_TUPLE = frozenset({tuple})  # _TUPLE.issuperset(map(type, xs)): each x is an exact tuple
+
+
+def _variable(v: Variable) -> Variable:
+    """``v`` itself when it is a :class:`Variable` of tuples, as the parser
+    builds them, else a copy whose domain and parents are tuples."""
+    if type(v) is Variable and type(v.domain) is tuple and type(v.parents) is tuple:
+        return v
+    return Variable(v.name, _sequence(v.domain, "domain"), _sequence(v.parents, "parent list"))
+
+
+def _rows(rows: TableRows) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """A copy of one table, its conditions and rankings as tuples: one
+    ``dict`` copy when they all are tuples already, as the parser builds them."""
+    pairs = rows.items()  # first: a non-mapping fails on this, whichever copy follows
+    if _TUPLE.issuperset(map(type, rows)) and _TUPLE.issuperset(map(type, rows.values())):
+        return dict(rows)
+    return {_sequence(cond, "condition"): _sequence(ranking, "ranking") for cond, ranking in pairs}
+
 
 class CPNet:
     """A conditional preference network.
@@ -115,18 +134,10 @@ class CPNet:
 
     def __init__(self, variables: Iterable[Variable], tables: Mapping[str, TableRows]):
         try:
-            self.variables: tuple[Variable, ...] = tuple(
-                Variable(v.name, _sequence(v.domain, "domain"),
-                         _sequence(v.parents, "parent list"))
-                for v in variables
-            )
+            self.variables: tuple[Variable, ...] = tuple(map(_variable, variables))
             self.tables: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]] = (
                 MappingProxyType({
-                    owner: MappingProxyType({
-                        _sequence(cond, "condition"): _sequence(ranking, "ranking")
-                        for cond, ranking in rows.items()
-                    })
-                    for owner, rows in tables.items()
+                    owner: MappingProxyType(_rows(rows)) for owner, rows in tables.items()
                 })
             )
         except (AttributeError, TypeError) as exc:  # not iterable, not a mapping
@@ -283,6 +294,10 @@ def validate(net: CPNet) -> ValidationReport:
                 problems.append(f"parent {p!r} of variable {v.name} is not a name")
                 typed = False
     for owner, rows in net.tables.items():
+        # one pass in C per table, and a second, to name offenders, only when it fails
+        if all(map(isinstance, itertools.chain.from_iterable(rows.values()),
+                   itertools.repeat(str))):
+            continue
         for ranking in rows.values():
             for value in ranking:
                 if not isinstance(value, str):
@@ -328,21 +343,24 @@ def validate(net: CPNet) -> ValidationReport:
             problems.append(f"missing CPT for {v.name}")
             continue
         domains = [dict.fromkeys(net.variables[q].domain) for q in ps]
+        arity, values = len(domains), set(v.domain)
+        size = len(values)
         missing = math.prod(map(len, domains)) - len(rows)
         later: list[str] = []  # each given row is checked in O(parents)
         for cond, ranking in rows.items():
-            if len(cond) != len(domains) or not all(map(dict.__contains__, domains, cond)):
+            if len(cond) != arity or not all(map(dict.__contains__, domains, cond)):
                 later.append(f"unexpected CPT row for {v.name} under " + ",".join(map(str, cond)))
                 missing += 1
-            elif len(set(ranking)) != len(ranking):
-                later.append(f"duplicate value in a ranking of {v.name}")
-            elif set(ranking) != set(v.domain):
-                ctx = _bindings(v.parents, cond)
-                later.append(
-                    f"partial ranking for {v.name}"
-                    + (f" under {ctx}" if ctx else "")
-                    + " (every domain value must appear exactly once)"
-                )
+            elif len(ranking) != size or set(ranking) != values:  # not each value once
+                if len(set(ranking)) != len(ranking):
+                    later.append(f"duplicate value in a ranking of {v.name}")
+                else:
+                    ctx = _bindings(v.parents, cond)
+                    later.append(
+                        f"partial ranking for {v.name}"
+                        + (f" under {ctx}" if ctx else "")
+                        + " (every domain value must appear exactly once)"
+                    )
         absent = (c for c in itertools.product(*domains) if c not in rows) if missing else ()
         for cond in itertools.islice(absent, min(missing, _MISSING_CAP)):
             ctx = _bindings(v.parents, cond)

@@ -44,12 +44,25 @@ class PlanReplayError(CPNetError):
     """A submitted plan does not replay from init to goal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StripsOperator:
+    """Frozen, with the dataclass's eq, hash and repr.  Its ``__init__`` fills
+    the instance dict directly: a frozen dataclass's own makes one
+    ``object.__setattr__`` call per field, which ``_operators`` pays for every
+    operator it builds."""
+
     name: str
     preconditions: frozenset[Proposition]
     add: Proposition
     delete: Proposition
+
+    def __init__(self, name: str, preconditions: frozenset[Proposition],
+                 add: Proposition, delete: Proposition) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["preconditions"] = preconditions
+        fields["add"] = add
+        fields["delete"] = delete
 
 
 @dataclass

@@ -345,12 +345,15 @@ class _Core:
             anc.append(mask)
             better, worse = [], []
             flip_to = {value: (p, k) for k, value in enumerate(v.domain)}  # shared pairs
+            table = net.tables[v.name]
             for cond in itertools.product(*(self.domains[q] for q in parents[p])):
-                ranking = net.tables[v.name][cond]
+                ranking = table[cond]
+                # the row's flips, best first; each cell is a slice of them
+                flips = tuple(map(flip_to.__getitem__, ranking))
                 for value in v.domain:
                     r = ranking.index(value)
-                    better.append(tuple(flip_to[t] for t in reversed(ranking[:r])))
-                    worse.append(tuple(flip_to[t] for t in ranking[r + 1:]))
+                    better.append(flips[r - 1::-1] if r else ())
+                    worse.append(flips[r + 1:])
             up.append(tuple(better))
             down.append(tuple(worse))
         self.up = tuple(up)

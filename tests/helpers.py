@@ -164,6 +164,28 @@ def brute_force_improving_flips(net: CPNet, z: Outcome) -> set[tuple[str, str, s
     return found
 
 
+def reference_tables(net: CPNet) -> tuple[tuple, tuple]:
+    """``_Core.up`` and ``_Core.down`` by their definition, one cell at a
+    time from ``ranking.index``, with no slicing of a row's flips: per
+    topological position ``p``, per parent row in product order and per value
+    in domain order, the strictly better (worse) values as flips ``(p, k)``,
+    nearest first."""
+    up, down = [], []
+    for p, i in enumerate(net._topo):
+        v = net.variables[i]
+        flip_to = {value: (p, k) for k, value in enumerate(v.domain)}
+        better, worse = [], []
+        for cond in itertools.product(*(net.variable(q).domain for q in v.parents)):
+            ranking = net.tables[v.name][cond]
+            for value in v.domain:
+                r = ranking.index(value)
+                better.append(tuple(flip_to[t] for t in reversed(ranking[:r])))
+                worse.append(tuple(flip_to[t] for t in ranking[r + 1:]))
+        up.append(tuple(better))
+        down.append(tuple(worse))
+    return tuple(up), tuple(down)
+
+
 def reference_solve(problem: PlanningProblem, cap: int = 2**16) -> list[str] | None:
     """The breadth-first solver over ``frozenset`` states that
     ``solve_planning_problem`` replaced, kept as its oracle: the same search,

@@ -25,6 +25,7 @@ from cpnet import (
 )
 from cpnet.planning import to_strips
 from helpers import (
+    FIXTURES,
     all_pairs,
     brute_force_improving_flips,
     load_net,
@@ -121,6 +122,26 @@ class TestValidate:
         report = validate(net)
         assert not report.ok
         assert any("duplicate value" in p for p in report.problems)
+
+    @pytest.mark.parametrize(
+        "domain, ranking, problem",
+        [
+            (("a", "b"), ("a", "b", "a"), "duplicate value in a ranking of A"),
+            (("a", "b"), ("b", "a", "b", "a"), "duplicate value in a ranking of A"),
+            (("a", "b", "c"), ("a", "b", "d"), "partial ranking for A under P=p "
+                                               "(every domain value must appear exactly once)"),
+            (("a", "b", "c"), ("c", "b", "a", "d"), "partial ranking for A under P=p "
+                                                    "(every domain value must appear exactly once)"),
+            (("a", "b", "a"), ("b", "a"), "duplicate domain value in variable A"),
+        ],
+        ids=["repeat-covers-domain", "doubled", "foreign-value", "extra-value", "domain-repeat"],
+    )
+    def test_each_row_ranks_each_value_once(self, domain, ranking, problem):
+        net = CPNet(
+            [Variable("P", ("p", "q")), Variable("A", domain, ("P",))],
+            {"P": {(): ("p", "q")}, "A": {("p",): ranking, ("q",): tuple(dict.fromkeys(domain))}},
+        )
+        assert validate(net).problems == [problem]
 
     @pytest.mark.parametrize(
         "variables, tables, problem",
@@ -292,6 +313,60 @@ class TestValidate:
     def test_string_is_not_a_sequence_of_words(self, variables, tables):
         with pytest.raises(CPNetError, match="is a string, not a sequence"):
             CPNet(variables, tables)
+
+    @pytest.mark.parametrize("sequence", [tuple, list], ids=["tuples", "lists"])
+    def test_constructor_copies_its_input(self, sequence):
+        def inputs():
+            variables = [Variable("A", sequence(("a", "abar"))),
+                         Variable("B", sequence(("b", "bbar")), sequence(("A",)))]
+            tables = {"A": {(): sequence(("a", "abar"))},
+                      "B": {("a",): sequence(("b", "bbar")), ("abar",): sequence(("bbar", "b"))}}
+            return variables, tables
+
+        variables, tables = inputs()
+        rows, ranking = tables["B"], tables["A"][()]
+        net = CPNet(variables, tables)
+        report = validate(net).problems
+        text = serialize_cpnet(net)
+        variables.append(Variable("C", ("c", "cbar")))
+        tables["C"] = {(): ("c", "cbar")}
+        tables["A"] = {(): ("abar", "a")}
+        rows[("a",)] = ("bbar", "b")
+        del rows[("abar",)]
+        if sequence is list:
+            ranking.reverse()
+            variables[0].domain.append("a2")
+            variables[1].parents.clear()
+        fresh = CPNet(*inputs())
+        assert net.variables == fresh.variables
+        assert net.tables == fresh.tables
+        assert validate(net).problems == validate(fresh).problems == report == []
+        assert serialize_cpnet(net) == serialize_cpnet(fresh) == text
+        # a net built and then validated only after its input changed is no different
+        variables, tables = inputs()
+        late = CPNet(variables, tables)
+        tables["B"].clear()
+        tables["A"][()] = ("abar", "a")
+        assert validate(late).ok and serialize_cpnet(late) == text
+
+    def test_parser_tuples_and_list_copies_build_equal_nets(self):
+        for path in sorted(FIXTURES.glob("*.cpnet")):
+            parsed = load_net(path.stem)
+            listed = CPNet(
+                [Variable(v.name, list(v.domain), list(v.parents)) for v in parsed.variables],
+                {owner: {cond: list(ranking) for cond, ranking in rows.items()}
+                 for owner, rows in parsed.tables.items()},
+            )
+            assert listed.variables == parsed.variables
+            assert listed.tables == parsed.tables
+            for net in (parsed, listed):
+                assert all(type(v.domain) is tuple and type(v.parents) is tuple
+                           for v in net.variables)
+                assert all(type(cond) is tuple and type(ranking) is tuple
+                           for rows in net.tables.values() for cond, ranking in rows.items())
+            assert validate(listed).ok
+            assert serialize_cpnet(listed) == serialize_cpnet(parsed)
+            assert best_outcome(listed) == best_outcome(parsed)
 
     def test_validated_net_is_frozen(self, chain2):
         with pytest.raises(TypeError):

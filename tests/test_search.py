@@ -38,7 +38,15 @@ from cpnet import (
 )
 from cpnet import search
 from cpnet.search import _compiled, _Core, _refix, _search, _suffix
-from helpers import all_pairs, outcome, random_chain, random_net, random_star, random_tree
+from helpers import (
+    all_pairs,
+    outcome,
+    random_chain,
+    random_net,
+    random_star,
+    random_tree,
+    reference_tables,
+)
 
 RAW = SearchConfig(
     direction="improving",
@@ -722,6 +730,20 @@ class TestOracleEquivalenceSmoke:
                 forward = dominates(net, x, y).kind == DOMINATES
                 backward = dominates(net, y, x).kind == DOMINATES
                 assert not (forward and backward)
+
+
+def test_compiled_tables_equal_their_definition():
+    rng = random.Random(23)
+    nets = [make(rng, rng.randint(1, 9)) for make in (random_chain, random_tree)
+            for _ in range(30)]
+    nets += [random_net(rng, rng.randint(1, 9), (2, 3), 2) for _ in range(60)]
+    # a child declared before its parent: positions differ from declarations
+    nets.append(parse_cpnet("var B: b, c, d\nvar A: a, e\nparents B: A\ncpt A: e > a\n"
+                            "cpt B | A=a: c > d > b\ncpt B | A=e: b > c > d\n").net)
+    for net in nets:
+        assert validate(net).ok
+        core = _Core(net)
+        assert (core.up, core.down) == reference_tables(net)
 
 
 class TestReachTable:
