@@ -422,8 +422,6 @@ def _cell_texts(
 
 def _column(line: str, index: int) -> int:
     """The 1-based column of cell ``index`` of a line that splits."""
-    if '"' not in line:
-        return sum(len(cell) + 1 for cell in line.split(",")[:index]) + 1
     return _split_csv_line(line, 0, [])[index][1] + 1
 
 

@@ -294,10 +294,6 @@ def validate(net: CPNet) -> ValidationReport:
                 problems.append(f"parent {p!r} of variable {v.name} is not a name")
                 typed = False
     for owner, rows in net.tables.items():
-        # one pass in C per table, and a second, to name offenders, only when it fails
-        if all(map(isinstance, itertools.chain.from_iterable(rows.values()),
-                   itertools.repeat(str))):
-            continue
         for ranking in rows.values():
             for value in ranking:
                 if not isinstance(value, str):

@@ -511,7 +511,8 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
     """The one way into the engine: validate the net and return its core,
     compiled on first use, with the outcomes checked and encoded in one
     pass.  An outcome that does not encode is left to ``model._usable``,
-    which names the first problem in declaration order."""
+    which names the first problem in declaration order; one that it passes
+    holds a value equal to a domain value that does not hash as it."""
     _usable(net)
     core = net._core
     if core is None:
@@ -520,7 +521,7 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
         return core, [core.encode(o.values) for o in outcomes]
     except (AttributeError, KeyError, TypeError):  # not an Outcome, a tuple or the right length
         _usable(net, *outcomes)
-        raise
+        raise CPNetError("an outcome value does not hash as the domain value it equals") from None
 
 
 def _suffix(core: _Core, vals: list[int], goal: list[int]) -> tuple[int, int]:

@@ -22,6 +22,7 @@ the results in that order:
   space, quote, doubled quote, comma, blank line or CRLF, or a deleted
   character.
 
+It exits 1 if the budgeted reports hold no undecided pair (``REACH``).
 The first two are the answers of the pass.  A budgeted report may change
 where a pair that ran out of budget is settled by other means.  The reader's
 edits are drawn from their own generator, so the first three digests do not
@@ -43,6 +44,7 @@ from typing import Iterator
 SRC = Path(__file__).resolve().parents[1] / "src"
 BUDGETS = (None, 1, 2, 3, 5, 8)
 MUTANTS = 4
+REACH = ("undecided",)  # budget-cut pairs: the budgeted digest must hold some
 EDITS = (" ", "\t", "\xa0", "\u3000", '"', '""', ",", "\n\n", "\r\n", "")  # "": a deletion
 
 
@@ -120,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("seed", type=int, help="seed of the nets and catalogs")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))  # this checkout's engine
+    from helpers import coverage_exit
+
     found = digest(args.seed)
     print(f"seed {args.seed}: {found['catalogs']} catalogs at {len(BUDGETS)} budgets")
     print(f"  sort sha256 {found['sort']}")
@@ -127,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  budgeted pareto sha256 {found['budgeted']}, "
           f"{found['undecided']} undecided pairs")
     print(f"  reader sha256 {found['reader']}")
-    return 0
+    return coverage_exit(found, REACH)
 
 
 if __name__ == "__main__":

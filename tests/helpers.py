@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import deque
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from cpnet import (
     CPNet,
@@ -210,3 +212,13 @@ def reference_solve(problem: PlanningProblem, cap: int = 2**16) -> list[str] | N
                 seen.add(nxt)
                 queue.append((nxt, path + [op.name]))
     return None
+
+
+def coverage_exit(counts: Mapping[str, int], labels: Iterable[str]) -> int:
+    """A digest script's exit code: 0 when its sweep reached each of
+    ``labels`` (a count above 0 in ``counts``), else 1, after naming on
+    stderr the ones it missed."""
+    missed = [label for label in labels if not counts.get(label)]
+    if missed:
+        print("sweep did not reach: " + ", ".join(missed), file=sys.stderr)
+    return 1 if missed else 0

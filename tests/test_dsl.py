@@ -437,6 +437,11 @@ class TestCatalog:
             ('id,A,B\n"p1,a,b\n', 2, 1, "unterminated quote"),
             ('id,A,B\np1,a, "b\n', 2, 7, "unterminated quote"),
             ('id, "A,B\np1,a,b\n', 1, 5, "unterminated quote"),
+            # a cell after a quoted id: one column rule for both kinds of line
+            ('id,A,B\n"p,1",a,zz\n', 2, 9, "unknown value 'zz' for variable B"),
+            ('id,A,B\n"p1" ,a,zz\n', 2, 9, "unknown value 'zz' for variable B"),
+            ('id,A,B\n  "p1",zz,b\n', 2, 8, "unknown value 'zz' for variable A"),
+            ("id,A,B\np1,a,zz\n", 2, 6, "unknown value 'zz' for variable B"),
         ],
     )
     def test_positioned_diagnostics(self, chain2, text, line, column, message):
@@ -549,8 +554,16 @@ class TestCatalog:
             def match(self, *args):
                 raise AssertionError("the cell regex ran on a quote-free line")
 
+        # the cells of a quote-free line are split without the regex; only the
+        # column of a diagnostic placed on a cell (dsl._column) runs it
+        placed = ("unknown column", "empty id", "duplicate id", "unknown value")
         monkeypatch.setattr(dsl, "_CELL_RE", NoRegex())
-        assert [parse_catalog(net, text) for net, text in texts] == expected
+        for (net, text), (rows, diagnostics) in zip(texts, expected):
+            if any(d.message.startswith(placed) for d in diagnostics):
+                with pytest.raises(AssertionError, match="cell regex"):
+                    parse_catalog(net, text)
+            else:
+                assert parse_catalog(net, text) == (rows, diagnostics)
         with pytest.raises(AssertionError, match="cell regex"):
             parse_catalog(chain2, 'id,A,B\n"p1",a,b\n')
 

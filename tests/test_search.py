@@ -402,6 +402,28 @@ def test_list_valued_outcome_is_refused(chain2, call):
         call(chain2, Outcome(["a", "b"]))
 
 
+class OddHash(str):
+    """A value equal to its text that does not hash as it: the outcome check
+    (``in`` on the domain tuple) passes it, the engine's encoder does not."""
+
+    def __hash__(self):
+        return 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, o: dominates(net, o, o),
+        lambda net, o: forward_prune(net, o, o),
+        lambda net, o: pareto_front(net, [CatalogRow("r1", o)]),
+    ],
+    ids=["dominates", "forward_prune", "pareto_front"],
+)
+def test_value_that_hashes_differently_is_refused(chain2, call):
+    with pytest.raises(CPNetError, match="hash"):
+        call(chain2, Outcome((OddHash("a"), "b")))
+
+
 CHILD_FIRST = """
 var B: b, bbar
 var A: a, abar

@@ -9,10 +9,10 @@ parents), draws 150 random outcome pairs per net, and asks each pair under
 all 32 combinations of the five cuts, in 3 directions, with no budget and
 with a budget of 3, through both ``dominates`` and ``_search``.  It prints
 the digest of every ``repr((kind, stats, witness))`` in that order, the
-number of queries, and how many were decided by each stage.  The script is
-stdlib-only and is not collected by pytest.  ``tests/transcript.py`` asks a
-slice of the same sweep: one net per family and a few pairs per net, under
-every configuration.
+number of queries, and how many were decided by each stage, and exits 1
+if a stage decided none (``REACH``).  The script is stdlib-only and is not
+collected by pytest.  ``tests/transcript.py`` asks a slice of the same sweep:
+one net per family and a few pairs per net, under every configuration.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Iterator
 SRC = Path(__file__).resolve().parents[1] / "src"
 CUTS = ("suffix_fixing", "suffix_extension", "rightmost", "least_improving", "visited_dedup")
 DIRECTIONS = ("improving", "worsening", "bidirectional")
+REACH = ("budget", "equal", "prune", "rank", "search")  # every decided_by stage
 
 
 def verdicts(seed: int, per_family: int = 6, pairs: int = 150) -> Iterator[tuple]:
@@ -79,11 +80,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("seed", type=int, help="seed of the nets and pairs")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))  # this checkout's engine
+    from helpers import coverage_exit
+
     hexdigest, queries, decided = digest(args.seed)
     print(f"seed {args.seed}: {queries} queries, sha256 {hexdigest}")
     for stage, count in sorted(decided.items()):
         print(f"  decided_by {stage}: {count}")
-    return 0
+    return coverage_exit(decided, REACH)
 
 
 if __name__ == "__main__":
