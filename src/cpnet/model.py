@@ -146,6 +146,8 @@ class CPNet:
         self._index: dict[str, int] = {}
         self._topo: tuple[int, ...] = ()
         self._parents_idx: list[tuple[int, ...]] = []
+        # per variable, its value -> domain index map, built by _value_codes
+        self._codes: list[dict[str, int]] | None = None
         # the integer search core, compiled by cpnet.search on the first query
         self._core: object | None = None
 
@@ -184,12 +186,11 @@ class CPNet:
         if extra:
             raise CPNetError(f"unknown variable {sorted(extra)[0]!r} in outcome")
         values = []
-        for v in self.variables:
+        for v, code in zip(self.variables, _value_codes(self)):
             if v.name not in assignment:
                 raise CPNetError(f"missing binding for {v.name}")
             value = assignment[v.name]
-            if value not in v.domain:
-                raise CPNetError(f"unknown value {value!r} for variable {v.name}")
+            _check_value(v, code, value)
             values.append(value)
         return Outcome(tuple(values))
 
@@ -198,14 +199,9 @@ class CPNet:
         return _bindings(self.names, outcome.values)
 
     def check_outcome(self, outcome: Outcome) -> None:
-        _expect(outcome, Outcome, "an outcome")
-        if not isinstance(outcome.values, tuple):  # outcomes are hashed as keys
-            raise CPNetError("outcome values must be a tuple")
-        if len(outcome.values) != len(self.variables):
-            raise CPNetError("outcome does not match this net's variable set")
-        for v, x in zip(self.variables, outcome.values):
-            if x not in v.domain:
-                raise CPNetError(f"unknown value {x!r} for variable {v.name}")
+        """Raise ``CPNetError`` unless the net validates and ``outcome`` is
+        one of its outcomes (see :func:`_usable`)."""
+        _usable(self, outcome)
 
     # -- validation ------------------------------------------------------
 
@@ -376,12 +372,52 @@ def _usable(net: CPNet, *outcomes: Outcome) -> None:
     """The entry check of every operation on a net: ``TypeError`` unless
     ``net`` is a :class:`CPNet` and each outcome an :class:`Outcome`, and
     ``CPNetError`` if the net fails validation or an outcome is not one of
-    its outcomes (a tuple of one domain value per variable)."""
+    its outcomes (a tuple of one domain value per variable, as
+    :func:`_check_value` finds them)."""
     problems = validate(net).problems
     if problems:
         raise CPNetError("net failed validation: " + "; ".join(problems))
     for outcome in outcomes:
-        net.check_outcome(outcome)
+        _expect(outcome, Outcome, "an outcome")
+        values = outcome.values
+        if not isinstance(values, tuple):  # outcomes are hashed as keys
+            raise CPNetError("outcome values must be a tuple")
+        if len(values) != len(net.variables):
+            raise CPNetError("outcome does not match this net's variable set")
+        codes = _value_codes(net)
+        try:
+            if all(map(dict.__contains__, codes, values)):
+                continue
+        except TypeError:  # an unhashable value, named below
+            pass
+        for v, code, x in zip(net.variables, codes, values):
+            _check_value(v, code, x)
+
+
+def _value_codes(net: CPNet) -> list[dict[str, int]]:
+    """Per variable of a validated net, its value -> domain index map: the
+    entry check tests membership in it and the search core encodes with it.
+    Built on first use, not by ``validate``, so a net whose outcomes are
+    never read does not pay for it; two threads that race on it store
+    equal maps."""
+    if net._codes is None:
+        net._codes = [dict(zip(v.domain, range(len(v.domain)))) for v in net.variables]
+    return net._codes
+
+
+def _check_value(v: Variable, code: dict[str, int], x: object) -> None:
+    """Raise ``CPNetError`` unless ``x`` is a key of ``code``, the value ->
+    index map of ``v``'s domain (``_value_codes``), found by hash and then
+    ``==``, as the search core's encoder finds it.  So a value that equals
+    a domain value but hashes differently, or that cannot be hashed, is
+    refused here."""
+    try:
+        if x in code:
+            return
+    except TypeError:  # unhashable
+        pass
+    hint = " (it equals a domain value but does not hash as it)" if x in v.domain else ""
+    raise CPNetError(f"unknown value {x!r} for variable {v.name}{hint}")
 
 
 def topological_order(net: CPNet) -> list[str]:

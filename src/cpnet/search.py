@@ -28,6 +28,13 @@ runs both, except on committed nets (below); the catalog pass
 (``pareto._layers``) asks only pairs of higher rank first, and runs the
 prune on every net, committed or not, before it calls ``_flip_search``.
 
+The engine searches the net over its effective parents: a declared parent
+that the child's table does not depend on (every two rows that differ only
+in that parent hold the same ranking) is *degenerate*, sanctions no flip,
+and is compiled away (``_Core``).  The dominance relation is the declared
+net's, and the oracle below reads the declared tables; "parent", "child"
+and "descendant" in this module mean effective ones.
+
 On nets where every variable is binary and has at most one parent, the
 rightmost choice (with both suffix rules active) is itself safe to commit:
 search on chains and trees of binary variables then proceeds without
@@ -75,6 +82,7 @@ from .model import (
     _flipped,
     _targets,
     _usable,
+    _value_codes,
 )
 
 BIDIRECTIONAL = "bidirectional"
@@ -149,7 +157,8 @@ class Verdict:
 def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> frozenset[str]:
     """The maximal descendant-closed set of variables (every child of a
     member is a member) on which ``z`` already matches ``x``: every variable
-    that neither differs from ``x`` nor has a descendant that does."""
+    that neither differs from ``x`` nor has a descendant that does.  A child
+    is an effective one: a variable whose table depends on the member."""
     core, (zs, xs) = _compiled(net, z, x)
     unfixed, _ = _suffix(core, zs, xs)
     return frozenset(name for p, name in enumerate(core.names) if not unfixed >> p & 1)
@@ -158,8 +167,8 @@ def fixed_suffix(net: CPNet, z: Outcome, x: Outcome) -> frozenset[str]:
 def extend_suffix(net: CPNet, z: Outcome, x: Outcome, direction: str) -> Flip | None:
     """The move the engine commits at ``z`` searching toward ``x``, if any: a
     legal flip that sets a variable outside ``fixed_suffix(net, z, x)``, all
-    of whose children are inside it, to its value in ``x``; the rightmost
-    such flip."""
+    of whose effective children are inside it, to its value in ``x``; the
+    rightmost such flip."""
     _check_direction(direction)
     core, (zs, xs) = _compiled(net, z, x)
     table = core.up if direction == IMPROVING else core.down
@@ -304,13 +313,21 @@ class _Core:
     """The integer form of a validated net, which is what the engine searches.
 
     A variable is its topological position ``p``, a value its index in the
-    domain, a set of variables an int bitmask over positions.  ``up[p]`` and
-    ``down[p]`` are flat tables indexed by ``row + value``, where ``row`` is
-    the mixed-radix parent index times the domain size; an entry holds the
-    improving (worsening) flips ``(p, target)`` in least-improving order, so
-    its first entry is the adjacent value of the row's ranking.  ``rank`` and
-    ``prune`` read the same tables; the catalog pass orders outcomes by rank.
-    It is compiled from the net's ``_topo`` and ``_parents_idx`` positions.
+    domain, a set of variables an int bitmask over positions.  ``parents[p]``
+    holds the effective parents, the declared parents that the variable's
+    table depends on, in declared order (``_effective``); every graph view of
+    the core (``fanout``, ``anc``, the child and parent masks, the rank's
+    weights, the prune's rows and ``committed``) reads that one list.
+    ``up[p]`` and ``down[p]`` are flat tables indexed by ``row + value``,
+    where ``row`` is the mixed-radix index of the effective parents' values
+    (the first slowest) times the domain size, and each row is read from the
+    declared table with every dropped parent at its first value; an entry
+    holds the improving (worsening) flips ``(p, target)`` in least-improving
+    order, so its first entry is the adjacent value of the row's ranking.
+    ``rank`` and ``prune`` read the same tables; the catalog pass orders
+    outcomes by rank.  It is compiled from the net's ``_topo`` and
+    ``_parents_idx`` positions.  Dropping a degenerate parent compiles an
+    equal net, not a cut: it changes no flip, so no switch turns it off.
 
     Queries write three caches on a shared core, and nothing else:
     ``_flips``, the witness flips ``path`` builds; ``_reach``, the reach
@@ -324,48 +341,59 @@ class _Core:
         order = net._topo
         variables = [net.variables[i] for i in order]
         pos = {i: p for p, i in enumerate(order)}  # declaration -> topological position
-        parents = [[pos[q] for q in net._parents_idx[i]] for i in order]
         self.names = tuple(v.name for v in variables)
-        self.domains = tuple(v.domain for v in variables)
+        self.domains = domains = tuple(v.domain for v in variables)
         # per position: its value -> index map and its declaration index
-        self.codes = tuple(({value: k for k, value in enumerate(v.domain)}, i)
-                           for v, i in zip(variables, order))
-        self.single_parent_binary = all(
-            len(v.domain) == 2 and len(v.parents) <= 1 for v in variables
-        )
-        # fanout[q]: (child, weight of q's value in the child's row) pairs
+        codes = _value_codes(net)
+        self.codes = tuple((codes[i], i) for i in order)
+        sizes = [len(d) for d in domains]
+        # parents[p]: the effective parents, in declared order; fanout[q]:
+        # (child, weight of q's value in the child's row) pairs
+        parents: list[tuple[int, ...]] = []
         fanout: list[list[tuple[int, int]]] = [[] for _ in variables]
         up, down, anc = [], [], []  # anc: ancestors-or-self masks
-        for p, v in enumerate(variables):
-            weight, mask = len(v.domain), 1 << p
-            for q in reversed(parents[p]):
+        for p, (v, (code, i)) in enumerate(zip(variables, self.codes)):
+            table, declared = net.tables[v.name], net._parents_idx[i]
+            if declared:
+                declared = [pos[q] for q in declared]
+                conds = itertools.product(*[domains[q] for q in declared])
+                kept, rankings = _effective(declared, list(map(table.__getitem__, conds)), sizes)
+            else:
+                kept, rankings = (), table.values()
+            parents.append(kept)
+            weight, mask = sizes[p], 1 << p
+            for q in reversed(kept):
                 fanout[q].append((p, weight))
-                weight *= len(self.domains[q])
+                weight *= sizes[q]
                 mask |= anc[q]
             anc.append(mask)
+            cells: dict[tuple[str, ...], tuple[list, list]] = {}  # ranking -> its row's cells
             better, worse = [], []
-            flip_to = {value: (p, k) for k, value in enumerate(v.domain)}  # shared pairs
-            table = net.tables[v.name]
-            for cond in itertools.product(*(self.domains[q] for q in parents[p])):
-                ranking = table[cond]
-                # the row's flips, best first; each cell is a slice of them
-                flips = tuple(map(flip_to.__getitem__, ranking))
-                for value in v.domain:
-                    r = ranking.index(value)
-                    better.append(flips[r - 1::-1] if r else ())
-                    worse.append(flips[r + 1:])
+            for ranking in rankings:
+                row = cells.get(ranking)
+                if row is None:
+                    # the row's flips, best first; each cell is a slice of them
+                    flips = tuple([(p, code[value]) for value in ranking])
+                    row = cells[ranking] = ([], [])
+                    for value in v.domain:
+                        r = ranking.index(value)
+                        row[0].append(flips[r - 1::-1] if r else ())
+                        row[1].append(flips[r + 1:])
+                better += row[0]
+                worse += row[1]
             up.append(tuple(better))
             down.append(tuple(worse))
         self.up = tuple(up)
         self.down = tuple(down)
         self.fanout = tuple(tuple(f) for f in fanout)
         self.child_mask = tuple(sum(1 << c for c, _ in f) for f in self.fanout)
-        self.parents = tuple(map(tuple, parents))
+        self.parents = tuple(parents)
         self.parent_mask = tuple(sum(1 << q for q in ps) for ps in parents)
+        self.single_parent_binary = all(
+            size == 2 and len(ps) <= 1 for size, ps in zip(sizes, parents))
         self.anc = tuple(anc)
         # mixed-radix weights that make an outcome one int key
-        sizes = [len(d) for d in self.domains[:-1]]
-        self.stride = tuple(itertools.accumulate(sizes, operator.mul, initial=1))
+        self.stride = tuple(itertools.accumulate(sizes[:-1], operator.mul, initial=1))
         # direction -> {(position, old, new): Flip}, filled by ``path``
         self._flips: dict[str, dict] = {IMPROVING: {}, WORSENING: {}}
         # (position, its parents' survivor masks) -> reach entry, filled by
@@ -375,7 +403,7 @@ class _Core:
 
     def encode(self, values: tuple[str, ...]) -> list[int]:
         """The value indices of an outcome, in topological order.  Raises
-        ``KeyError`` or ``TypeError`` on every outcome that
+        ``KeyError`` or ``TypeError`` exactly on the outcomes that
         ``CPNet.check_outcome`` refuses."""
         if not isinstance(values, tuple) or len(values) != len(self.codes):
             raise TypeError("not an outcome of this net")
@@ -383,9 +411,10 @@ class _Core:
 
     def committed(self, cfg: SearchConfig) -> bool:
         """Whether a search under ``cfg`` commits to its first candidate.  On
-        binary nets where no variable has two parents, the first-ordered move
-        under the full rule set never needs reconsidering, so each node keeps
-        a single child and chains and trees search backtrack-free."""
+        binary nets where no variable has two effective parents, the
+        first-ordered move under the full rule set never needs reconsidering,
+        so each node keeps a single child and chains and trees search
+        backtrack-free."""
         return (self.single_parent_binary and cfg.rightmost
                 and cfg.suffix_fixing and cfg.suffix_extension)
 
@@ -481,6 +510,39 @@ class _Core:
         return tuple(map(built.__getitem__, moves))
 
 
+def _effective(parents: list[int], rankings: list,
+               sizes: list[int]) -> tuple[tuple[int, ...], list]:
+    """The parents that a variable's table depends on, in declared order, and
+    its rankings over them.  ``rankings`` lists the table's rows in the
+    product order of ``parents``: the first parent varies slowest.  A parent
+    is dropped when every two rows that differ only in its value hold the
+    same ranking; the rows kept are those with each dropped parent at its
+    first value.  Rows are compared as slices at the parent's stride."""
+    if len(parents) == 1:
+        if rankings.count(rankings[0]) == len(rankings):
+            return (), rankings[:1]
+        return tuple(parents), rankings
+    kept = []
+    stride = len(rankings)
+    for q in parents:
+        size = sizes[q]
+        # q's value steps every ``stride`` rows and wraps every ``block``
+        block, stride = stride, stride // size
+        if block == len(rankings):  # q varies slowest of the parents left
+            same = rankings[:stride] * size == rankings
+        elif stride == 1:  # q varies fastest: its value is the row index mod size
+            same = all([rankings[v::size] == rankings[::size] for v in range(1, size)])
+        else:
+            same = all([rankings[b:b + stride] * size == rankings[b:b + block]
+                        for b in range(0, len(rankings), block)])
+        if same:
+            rankings = [ranking for b in range(0, len(rankings), block)
+                        for ranking in rankings[b:b + stride]]
+        else:
+            kept.append(q)
+    return tuple(kept), rankings
+
+
 def _arcs(down: tuple, rows, size: int) -> tuple[list[int], list[int]]:
     """Per value, the values just below it (``below``) and just above it
     (``above``) in the rankings of the given rows of a ``down`` table."""
@@ -511,8 +573,8 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
     """The one way into the engine: validate the net and return its core,
     compiled on first use, with the outcomes checked and encoded in one
     pass.  An outcome that does not encode is left to ``model._usable``,
-    which names the first problem in declaration order; one that it passes
-    holds a value equal to a domain value that does not hash as it."""
+    which refuses each such outcome and names the first problem in
+    declaration order."""
     _usable(net)
     core = net._core
     if core is None:
@@ -521,7 +583,7 @@ def _compiled(net: CPNet, *outcomes: Outcome) -> tuple[_Core, list[list[int]]]:
         return core, [core.encode(o.values) for o in outcomes]
     except (AttributeError, KeyError, TypeError):  # not an Outcome, a tuple or the right length
         _usable(net, *outcomes)
-        raise CPNetError("an outcome value does not hash as the domain value it equals") from None
+        raise
 
 
 def _suffix(core: _Core, vals: list[int], goal: list[int]) -> tuple[int, int]:

@@ -136,6 +136,31 @@ def random_tree(rng: random.Random, n_vars: int) -> CPNet:
     return _finish(rng, variables)
 
 
+def random_one_parent_tables(rng: random.Random, n_vars: int) -> CPNet:
+    """A binary net in which each variable declares up to two earlier
+    parents, but its table depends on at most one of them: the rows under
+    one declared parent's first value share a random ranking and the rows
+    under its second value the reverse, and a variable that depends on none
+    has one ranking throughout."""
+    variables, tables = [], {}
+    for i in range(n_vars):
+        k = rng.randint(0, min(2, i))
+        parents = tuple(v.name for v in rng.sample(variables, k))
+        kept = rng.randrange(k + 1)  # the position of the parent it depends on; k: none
+        domain = (f"v{i}_0", f"v{i}_1")
+        ranking = tuple(rng.sample(domain, 2))
+        conds = itertools.product(*(variables[int(q[1:])].domain for q in parents))
+        variables.append(Variable(f"X{i}", domain, parents))
+        tables[f"X{i}"] = {
+            cond: ranking if kept == k or cond[kept].endswith("_0") else ranking[::-1]
+            for cond in conds
+        }
+    net = CPNet(variables, tables)
+    report = validate(net)
+    assert report.ok, report.problems
+    return net
+
+
 def random_star(rng: random.Random, n_parents: int) -> CPNet:
     """A binary net of ``n_parents`` roots and one child of them all."""
     roots = [Variable(f"X{i}", (f"v{i}_0", f"v{i}_1"), ()) for i in range(n_parents)]
@@ -166,19 +191,40 @@ def brute_force_improving_flips(net: CPNet, z: Outcome) -> set[tuple[str, str, s
     return found
 
 
+def effective_parents(net: CPNet) -> dict[str, tuple[str, ...]]:
+    """Per variable, the declared parents that its table depends on, in
+    declared order: a parent is kept when some two rows of the table that
+    differ only in that parent's value hold different rankings.  Reads
+    ``net.tables`` alone, never the compiled core."""
+    domains = {v.name: v.domain for v in net.variables}
+    kept = {}
+    for v in net.variables:
+        table = net.tables[v.name]
+        kept[v.name] = tuple(
+            q for j, q in enumerate(v.parents)
+            if any(table[cond] != table[cond[:j] + (value,) + cond[j + 1:]]
+                   for cond in table for value in domains[q])
+        )
+    return kept
+
+
 def reference_tables(net: CPNet) -> tuple[tuple, tuple]:
     """``_Core.up`` and ``_Core.down`` by their definition, one cell at a
     time from ``ranking.index``, with no slicing of a row's flips: per
-    topological position ``p``, per parent row in product order and per value
-    in domain order, the strictly better (worse) values as flips ``(p, k)``,
-    nearest first."""
+    topological position ``p``, per row of the effective parents in product
+    order (``effective_parents``), read with each other declared parent at
+    its first value, and per value in domain order, the strictly better
+    (worse) values as flips ``(p, k)``, nearest first."""
+    parents = effective_parents(net)
     up, down = [], []
     for p, i in enumerate(net._topo):
         v = net.variables[i]
         flip_to = {value: (p, k) for k, value in enumerate(v.domain)}
+        first = {q: net.variable(q).domain[0] for q in v.parents}
         better, worse = [], []
-        for cond in itertools.product(*(net.variable(q).domain for q in v.parents)):
-            ranking = net.tables[v.name][cond]
+        for cond in itertools.product(*(net.variable(q).domain for q in parents[v.name])):
+            held = {**first, **dict(zip(parents[v.name], cond))}
+            ranking = net.tables[v.name][tuple(held[q] for q in v.parents)]
             for value in v.domain:
                 r = ranking.index(value)
                 better.append(tuple(flip_to[t] for t in reversed(ranking[:r])))

@@ -22,6 +22,7 @@ from cpnet import (
     all_outcomes,
     apply_flip,
     dominates,
+    export_planning_problem,
     extend_suffix,
     fixed_suffix,
     forward_prune,
@@ -31,6 +32,7 @@ from cpnet import (
     order_flips,
     pareto_front,
     parse_cpnet,
+    serialize_catalog,
     sort_catalog,
     topological_order,
     validate,
@@ -40,9 +42,11 @@ from cpnet import search
 from cpnet.search import _compiled, _Core, _refix, _search, _suffix
 from helpers import (
     all_pairs,
+    effective_parents,
     outcome,
     random_chain,
     random_net,
+    random_one_parent_tables,
     random_star,
     random_tree,
     reference_tables,
@@ -195,11 +199,12 @@ class TestSuffixRules:
         assert extend_suffix(chain3, z, z, "improving") is None
 
     def test_views_match_their_definitions(self):
-        # The definitions read Variable.parents and legal_flips, not the core.
+        # The definitions read the effective parents and legal_flips, not the core.
         rng = random.Random(57)
         for _ in range(25):
             net = random_net(rng, rng.randint(2, 4), (2, 3), 3)
-            children = {v.name: [c.name for c in net.variables if v.name in c.parents]
+            parents = effective_parents(net)
+            children = {v.name: [c.name for c in net.variables if v.name in parents[c.name]]
                         for v in net.variables}
             position = {name: k for k, name in enumerate(topological_order(net))}
             outcomes = all_outcomes(net)
@@ -403,8 +408,8 @@ def test_list_valued_outcome_is_refused(chain2, call):
 
 
 class OddHash(str):
-    """A value equal to its text that does not hash as it: the outcome check
-    (``in`` on the domain tuple) passes it, the engine's encoder does not."""
+    """A value equal to its text that does not hash as it.  Every lookup of a
+    value goes by hash, so the outcome check refuses it too."""
 
     def __hash__(self):
         return 1
@@ -416,11 +421,22 @@ class OddHash(str):
         lambda net, o: dominates(net, o, o),
         lambda net, o: forward_prune(net, o, o),
         lambda net, o: pareto_front(net, [CatalogRow("r1", o)]),
+        lambda net, o: legal_flips(net, o, "improving"),
+        lambda net, o: apply_flip(net, o, Flip("B", "b", "bbar", "worsening")),
+        lambda net, o: oracle_dominates(net, o, o),
+        lambda net, o: verify_witness(net, o, o, FlipSequence(o, ())),
+        lambda net, o: export_planning_problem(net, o, o, allow_trivial=True),
+        lambda net, o: serialize_catalog(net, [CatalogRow("r1", o)]),
+        lambda net, o: net.format_outcome(o),
+        lambda net, o: net.outcome(dict(zip(net.names, o.values))),
     ],
-    ids=["dominates", "forward_prune", "pareto_front"],
+    ids=["dominates", "forward_prune", "pareto_front", "legal_flips", "apply_flip",
+         "oracle_dominates", "verify_witness", "export_planning_problem",
+         "serialize_catalog", "format_outcome", "outcome"],
 )
 def test_value_that_hashes_differently_is_refused(chain2, call):
-    with pytest.raises(CPNetError, match="hash"):
+    # one membership rule: every entry point refuses the value as the encoder does
+    with pytest.raises(CPNetError, match="unknown value 'a' for variable A .*does not hash"):
         call(chain2, Outcome((OddHash("a"), "b")))
 
 
@@ -475,15 +491,16 @@ class TestRank:
 
     def test_rank_and_rows_equal_their_definitions(self):
         def weight(net, name, memo):
-            """A(v) = 1 + the sum of A(c)(|D_c| - 1) over the children c."""
+            """A(v) = 1 + the sum of A(c)(|D_c| - 1) over the effective children c."""
             if name not in memo:
                 memo[name] = 1 + sum(weight(net, c.name, memo) * (len(c.domain) - 1)
-                                     for c in net.variables if name in c.parents)
+                                     for c in net.variables if name in parents[c.name])
             return memo[name]
 
         rng = random.Random(20)
         for _ in range(40):
             net = random_net(rng, rng.randint(2, 5), (2, 3, 4), 3)
+            parents = effective_parents(net)
             core, _ = _compiled(net)
             memo: dict[str, int] = {}
             for z in all_outcomes(net):
@@ -491,10 +508,11 @@ class TestRank:
                 rows, rank = [], 0
                 for name in core.names:
                     v = net.variable(name)
-                    cond = tuple(value[q] for q in v.parents)
-                    conds = list(itertools.product(*(net.variable(q).domain for q in v.parents)))
+                    cond = tuple(value[q] for q in parents[name])
+                    conds = list(itertools.product(*(net.variable(q).domain
+                                                     for q in parents[name])))
                     rows.append(conds.index(cond) * len(v.domain))
-                    ranking = net.tables[name][cond]
+                    ranking = net.tables[name][tuple(value[q] for q in v.parents)]
                     below = len(ranking) - 1 - ranking.index(value[name])
                     rank += weight(net, name, memo) * below
                 vals = core.encode(z.values)
@@ -768,6 +786,98 @@ def test_compiled_tables_equal_their_definition():
         assert (core.up, core.down) == reference_tables(net)
 
 
+ONE_DEGENERATE = """var A: a0, a1
+var B: b0, b1, b2
+var C: c0, c1
+parents C: A, B
+cpt A: a0 > a1
+cpt B: b2 > b0 > b1
+"""
+
+
+class TestEffectiveParents:
+    """``_Core`` compiles each variable over the declared parents its table
+    depends on (``effective_parents``), in declared order."""
+
+    @staticmethod
+    def compiled_as_defined(net):
+        parents = effective_parents(net)
+        core = _compiled(net)[0]
+        assert [tuple(core.names[q] for q in ps) for ps in core.parents] == [
+            parents[name] for name in core.names]
+        assert (core.up, core.down) == reference_tables(net)
+        for z in all_outcomes(net):
+            value = dict(zip(net.names, z.values))
+            rows = []
+            for name in core.names:
+                row = 0  # mixed radix over the effective parents, the first slowest
+                for q in parents[name]:
+                    domain = net.variable(q).domain
+                    row = row * len(domain) + domain.index(value[q])
+                rows.append(row * len(net.variable(name).domain))
+            assert core.rows(core.encode(z.values)) == rows
+        return core
+
+    @pytest.mark.parametrize("kept", ["A", "B"])
+    def test_one_degenerate_parent_of_two_is_dropped(self, kept):
+        # C's ranking follows the value of ``kept`` alone
+        text = ONE_DEGENERATE + "".join(
+            f"cpt C | A={a},B={b}: " + ("c1 > c0" if {"A": a, "B": b}[kept] in ("a1", "b1")
+                                        else "c0 > c1") + "\n"
+            for a in ("a0", "a1") for b in ("b0", "b1", "b2"))
+        net = parse_cpnet(text).net
+        assert effective_parents(net) == {"A": (), "B": (), "C": (kept,)}
+        core = self.compiled_as_defined(net)
+        assert core.parents == ((), (), ({"A": 0, "B": 1}[kept],))
+        size = 3 if kept == "B" else 2
+        assert len(core.up[2]) == len(core.down[2]) == size * 2
+
+    def test_both_parents_kept_in_declared_order(self):
+        # declared B before A, though A comes first in topological order
+        rows = "".join(f"cpt C | B={b},A={a}: " + ("c0 > c1" if (i + j) % 2 else "c1 > c0") + "\n"
+                       for i, b in enumerate(("b0", "b1", "b2"))
+                       for j, a in enumerate(("a0", "a1")))
+        net = parse_cpnet(ONE_DEGENERATE.replace("parents C: A, B", "parents C: B, A") + rows).net
+        assert effective_parents(net) == {"A": (), "B": (), "C": ("B", "A")}
+        core = self.compiled_as_defined(net)
+        assert core.parents == ((), (), (1, 0))
+        # the row of C is (B's index * |A| + A's index) * |C|
+        assert core.fanout == (((2, 2),), ((2, 4),), ())
+        vals = core.encode(outcome(net, "A=a1,B=b2,C=c0").values)
+        assert core.rows(vals)[2] == (2 * 2 + 1) * 2
+
+    def test_a_variable_whose_parents_are_all_degenerate_is_a_root(self):
+        net = parse_cpnet("var A: a0, a1\nvar B: b0, b1\nvar C: c0, c1\nparents C: A, B\n"
+                          "cpt A: a0 > a1\ncpt B: b1 > b0\n"
+                          + "".join(f"cpt C | A={a},B={b}: c1 > c0\n"
+                                    for a in ("a0", "a1") for b in ("b0", "b1"))).net
+        assert effective_parents(net) == {"A": (), "B": (), "C": ()}
+        core = self.compiled_as_defined(net)
+        assert core.parents == ((), (), ()) and core.fanout == ((), (), ())
+        assert core.up[2] == (((2, 1),), ()) and core.down[2] == ((), ((2, 0),))
+        # binary with no effective parent of two: the committed class
+        assert core.committed(SearchConfig())
+
+
+def test_nets_that_depend_on_one_parent_search_committed():
+    # criterion 3's check, on binary nets whose variables declare up to two
+    # parents and depend on at most one: committed, backtrack-free, exact
+    rng = random.Random(2718)
+    cfg = SearchConfig()
+    queries = two_parents = 0
+    for size in [3] * 10 + [4] * 15 + [5] * 15 + [6] * 10 + [7] * 3:
+        net = random_one_parent_tables(rng, size)
+        assert _compiled(net)[0].committed(cfg)
+        two_parents += sum(len(v.parents) == 2 for v in net.variables)
+        closure = oracle_closure(net)
+        for x, y in all_pairs(net):
+            verdict = _search(net, x, y, cfg)
+            assert verdict.stats.backtracks == 0, (net.names, x.values, y.values)
+            assert (verdict.kind == DOMINATES) == (x in closure[y]), (x.values, y.values)
+            queries += 1
+    assert two_parents > 30 and queries > 50000
+
+
 class TestReachTable:
     """``_Core.prune`` reads its walks from a table that queries fill."""
 
@@ -858,54 +968,57 @@ class TestDecidedBy:
 # engine that the compiled integer core replaced, so the search itself, not
 # only its verdicts, is held fixed; the exceptions are the four committed
 # bidirectional queries (entries 7, 10, 22 and 28), which run the improving
-# walk alone and so equal their ``direction="improving"`` twins.
+# walk alone and so equal their ``direction="improving"`` twins, and the 16
+# entries that moved when the core began to compile only the parents each
+# table depends on (``_Core``): no positive changed its expansions, and
+# entry 8 went from a budget cut to an exhaustive negative.
 # They are replayed through ``_search``, which is that search path; through
 # ``dominates``, whose pre-check runs first, only negatives may change, and
 # only to an answer found before any search.
 
 PINNED = [
-    ("not_dominated", 7, 0, "improving", None),
-    ("budget_exhausted", 2000, 817, "none", None),
-    ("not_dominated", 5, 0, "worsening", None),
-    ("dominates", 7, 0, "improving", (7, "f95cdcf3667323ff")),
-    ("dominates", 19, 0, "worsening", (9, "182b8d6a247f4912")),
-    ("budget_exhausted", 2000, 684, "none", None),
-    ("not_dominated", 40, 11, "improving", None),
-    ("dominates", 6, 0, "improving", (6, "de49cfc36f7e12f6")),
-    ("budget_exhausted", 2000, 496, "none", None),
-    ("not_dominated", 10, 1, "improving", None),
-    ("dominates", 8, 0, "improving", (8, "665bbfc73452f664")),
-    ("not_dominated", 11, 1, "worsening", None),
-    ("dominates", 30, 8, "improving", (11, "024e648851fa7f5d")),
-    ("dominates", 10, 0, "improving", (5, "af4262a106fe2bdb")),
-    ("not_dominated", 14, 0, "worsening", None),
-    ("dominates", 2, 0, "improving", (2, "a84325490a942f65")),
-    ("dominates", 10, 0, "improving", (5, "521b11cf2fc39f27")),
-    ("not_dominated", 14, 0, "worsening", None),
-    ("not_dominated", 71, 27, "improving", None),
-    ("dominates", 4, 0, "improving", (2, "3eafa432c27f4c3b")),
-    ("not_dominated", 193, 86, "worsening", None),
-    ("not_dominated", 18, 0, "improving", None),
-    ("not_dominated", 26, 0, "improving", None),
-    ("dominates", 5, 0, "worsening", (5, "c8925a2bf8c346e3")),
-    ("dominates", 9, 0, "improving", (9, "e1461b532bb4c109")),
-    ("not_dominated", 57, 8, "worsening", None),
-    ("dominates", 3, 0, "worsening", (3, "64e48255330dad5f")),
-    ("dominates", 16, 3, "improving", (7, "9631c76743b57bc3")),
-    ("not_dominated", 13, 0, "improving", None),
-    ("dominates", 11, 0, "worsening", (11, "4481e64b00c5a9ba")),
-    ("dominates", 10, 0, "improving", (10, "8c08191b0b30c6a2")),
-    ("not_dominated", 21, 1, "worsening", None),
-    ("dominates", 9, 0, "worsening", (9, "4a8bee3118e5e5f9")),
-    ("budget_exhausted", 2000, 698, "none", None),
-    ("not_dominated", 289, 107, "worsening", None),
-    ("dominates", 6, 0, "worsening", (6, "e779a2df42e508e7")),
-    ("dominates", 9, 0, "improving", (9, "bd4fc650368b097d")),
-    ("not_dominated", 2, 0, "improving", None),
-    ("not_dominated", 19, 7, "worsening", None),
-    ("dominates", 5, 0, "improving", (5, "db07445686913464")),
-    ("dominates", 4, 0, "improving", (2, "58d23b6596d2be92")),
-    ("dominates", 11, 0, "worsening", (11, "777fd5563b3ebb9e")),
+    ('not_dominated', 5, 0, 'improving', None),
+    ('budget_exhausted', 2000, 1006, 'none', None),
+    ('not_dominated', 5, 0, 'worsening', None),
+    ('dominates', 7, 0, 'improving', (7, 'f95cdcf3667323ff')),
+    ('dominates', 19, 0, 'worsening', (9, '182b8d6a247f4912')),
+    ('budget_exhausted', 2000, 684, 'none', None),
+    ('not_dominated', 21, 4, 'improving', None),
+    ('dominates', 6, 0, 'improving', (6, 'd5a16759b08df852')),
+    ('not_dominated', 1447, 715, 'worsening', None),
+    ('not_dominated', 9, 0, 'improving', None),
+    ('dominates', 8, 0, 'improving', (8, '665bbfc73452f664')),
+    ('not_dominated', 11, 1, 'worsening', None),
+    ('dominates', 30, 8, 'improving', (11, '024e648851fa7f5d')),
+    ('dominates', 10, 0, 'improving', (5, 'af4262a106fe2bdb')),
+    ('not_dominated', 8, 0, 'worsening', None),
+    ('dominates', 2, 0, 'improving', (2, 'a84325490a942f65')),
+    ('dominates', 10, 0, 'improving', (5, '521b11cf2fc39f27')),
+    ('not_dominated', 10, 0, 'worsening', None),
+    ('not_dominated', 71, 27, 'improving', None),
+    ('dominates', 4, 0, 'improving', (2, '3eafa432c27f4c3b')),
+    ('not_dominated', 97, 38, 'worsening', None),
+    ('not_dominated', 11, 0, 'improving', None),
+    ('not_dominated', 14, 0, 'improving', None),
+    ('dominates', 5, 0, 'worsening', (5, 'c8925a2bf8c346e3')),
+    ('dominates', 9, 0, 'improving', (9, '4492aa13985c1173')),
+    ('not_dominated', 57, 8, 'worsening', None),
+    ('dominates', 3, 0, 'worsening', (3, '64e48255330dad5f')),
+    ('dominates', 16, 3, 'improving', (7, '9631c76743b57bc3')),
+    ('not_dominated', 10, 0, 'improving', None),
+    ('dominates', 11, 0, 'worsening', (11, '4481e64b00c5a9ba')),
+    ('dominates', 10, 0, 'improving', (10, '8c08191b0b30c6a2')),
+    ('not_dominated', 19, 0, 'worsening', None),
+    ('dominates', 9, 0, 'worsening', (9, '4a8bee3118e5e5f9')),
+    ('budget_exhausted', 2000, 698, 'none', None),
+    ('not_dominated', 289, 107, 'worsening', None),
+    ('dominates', 6, 0, 'worsening', (6, 'e779a2df42e508e7')),
+    ('dominates', 9, 0, 'improving', (9, '3ae89fed4d49947e')),
+    ('not_dominated', 2, 0, 'improving', None),
+    ('not_dominated', 5, 0, 'worsening', None),
+    ('dominates', 5, 0, 'improving', (5, 'db07445686913464')),
+    ('dominates', 4, 0, 'improving', (2, '58d23b6596d2be92')),
+    ('dominates', 11, 0, 'worsening', (11, '777fd5563b3ebb9e')),
 ]
 
 

@@ -9,10 +9,13 @@ parents), draws 150 random outcome pairs per net, and asks each pair under
 all 32 combinations of the five cuts, in 3 directions, with no budget and
 with a budget of 3, through both ``dominates`` and ``_search``.  It prints
 the digest of every ``repr((kind, stats, witness))`` in that order, the
-number of queries, and how many were decided by each stage, and exits 1
-if a stage decided none (``REACH``).  The script is stdlib-only and is not
-collected by pytest.  ``tests/transcript.py`` asks a slice of the same sweep:
-one net per family and a few pairs per net, under every configuration.
+number of queries, how many were decided by each stage, and how many nets
+have a degenerate declared parent (one that the variable's table does not
+depend on, which the engine compiles away) and how many have none.  It
+exits 1 if a stage decided none or either kind of net is missing
+(``REACH``).  The script is stdlib-only and is not collected by pytest.
+``tests/transcript.py`` asks a slice of the same sweep: one net per family
+and a few pairs per net, under every configuration.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from typing import Iterator
 SRC = Path(__file__).resolve().parents[1] / "src"
 CUTS = ("suffix_fixing", "suffix_extension", "rightmost", "least_improving", "visited_dedup")
 DIRECTIONS = ("improving", "worsening", "bidirectional")
-REACH = ("budget", "equal", "prune", "rank", "search")  # every decided_by stage
+STAGES = ("budget", "equal", "prune", "rank", "search")  # every decided_by stage
+NETS = ("degenerate parent", "no degenerate parent")  # nets with and without one
+REACH = STAGES + NETS
 
 
 def verdicts(seed: int, per_family: int = 6, pairs: int = 150) -> Iterator[tuple]:
@@ -65,14 +70,29 @@ def record(verdict) -> str:
     return repr((verdict.kind, verdict.stats, verdict.witness))
 
 
+def degenerate(net) -> bool:
+    """Whether some variable of ``net`` declares a parent that its table
+    does not depend on."""
+    from helpers import effective_parents
+
+    kept = effective_parents(net)
+    return any(len(kept[v.name]) < len(v.parents) for v in net.variables)
+
+
 def digest(seed: int) -> tuple[str, int, Counter]:
-    """The SHA-256 of the sweep, its query count and its ``decided_by`` counts."""
+    """The SHA-256 of the sweep, its query count, and its ``decided_by``
+    counts together with its counts of ``NETS``."""
     sha = hashlib.sha256()
-    decided: Counter = Counter()
-    for _, _, _, verdict in verdicts(seed):
+    counts: Counter = Counter()
+    nets: dict[int, bool] = {}
+    for net, _, _, verdict in verdicts(seed):
         sha.update(record(verdict).encode())
-        decided[verdict.stats.decided_by] += 1
-    return sha.hexdigest(), sum(decided.values()), decided
+        counts[verdict.stats.decided_by] += 1
+        if id(net) not in nets:
+            nets[id(net)] = degenerate(net)
+    queries = sum(counts.values())
+    counts.update(NETS[not d] for d in nets.values())
+    return sha.hexdigest(), queries, counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,11 +102,13 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(SRC))  # this checkout's engine
     from helpers import coverage_exit
 
-    hexdigest, queries, decided = digest(args.seed)
+    hexdigest, queries, counts = digest(args.seed)
     print(f"seed {args.seed}: {queries} queries, sha256 {hexdigest}")
-    for stage, count in sorted(decided.items()):
-        print(f"  decided_by {stage}: {count}")
-    return coverage_exit(decided, REACH)
+    for stage in STAGES:
+        print(f"  decided_by {stage}: {counts[stage]}")
+    for label in NETS:
+        print(f"  nets with {label}: {counts[label]}")
+    return coverage_exit(counts, REACH)
 
 
 if __name__ == "__main__":
