@@ -4,9 +4,10 @@ The engine answers "does the net entail x > y?" by depth-first search for a
 flipping sequence, either upward from y (improving), downward from x
 (worsening), or both at once with a deterministic strict alternation that
 concludes when the two frontiers meet.  The flipping sequence is the proof:
-a walk returns its moves, a DFS leaves them on its stacks, and
-``_flip_search`` builds every searched verdict, stats and witness from them
-(at a frontier meeting, the other side's stack reversed; see ``_dfs``).
+a walk and a DFS (``_dfs``, both sides in one loop, which splices a frontier
+meeting) each return their moves, and ``_flip_search`` builds every searched
+verdict, stats and witness from them.  A search expands at most ``budget``
+nodes, each side's root included.
 
 Completeness-preserving machinery:
 
@@ -662,98 +663,122 @@ def _ordered(table: tuple, rows: list[int], vals: list[int], live: int,
     return flips
 
 
-def _dfs(core: _Core, table: tuple, start: list[int], goal: list[int], cfg: SearchConfig,
-         visited: set[int], stack: list, other: set[int] | None):
-    """One side of a search that may backtrack: DFS from ``start`` toward
-    ``goal`` under ``table``, a generator over local state.  A committed
-    search never gets here; it runs as one flat walk (``_committed_walk``).
+def _dfs(core: _Core, sides: list, cfg: SearchConfig) -> tuple:
+    """A search that may backtrack, over one or both ``sides`` in one loop; a
+    committed search runs as one flat walk instead (``_committed_walk``).
+    Returns the verdict kind, expansions, backtracks, the deciding side's
+    index, and for ``dominates`` the witness moves ``(position, old, new)``
+    and whether a frontier meeting spliced them into one improving chain.
 
-    It yields its backtrack count after each expansion, the root's first,
-    and returns ``(hit, move, backtracks)`` when a child is the goal or in
-    ``other`` (the other side's ``visited``), or ``(None, None, backtracks)``
-    once its space is exhausted.  ``visited`` and ``stack`` are the caller's,
-    so the other side can meet this one and read its path.
+    Each step checks the budget, then advances the active side by one
+    expansion, so a search expands at most ``budget`` nodes, each root
+    included; two sides alternate strictly, roots first.  A side is
+    ``(table, vals, rows, goal, goal_key, visited, stack, other)``: ``vals``
+    and ``rows`` hold the outcome of its top frame, ``other`` is the other
+    side's ``visited`` (empty in one direction), and an empty stack means an
+    unexpanded root.  The search stops when a child is the side's goal or in
+    ``other``, or the side's space is exhausted.
 
-    ``vals`` and ``rows`` hold the outcome of the top frame, and ``unfixed``
-    and ``frontier`` its suffix masks (see ``_suffix``).  A frame is ``(key,
-    children, move, unfixed, frontier)``: the outcome's key, an iterator over
-    its candidate flips that resumes where it stopped, the move ``(position,
-    old, new)`` that made it, and its two masks.  Popping a frame reverts its
-    move and restores the masks saved below it.  Only the top frame can have
-    an exhausted child, so one flag counts backtracks.  Candidates are read
-    over ``unfixed`` (all variables without suffix fixing): a variable that
-    cannot move has an empty table entry.
+    A frame is ``(key, children, move, unfixed, frontier)``: the outcome's
+    key, an iterator over its candidate flips that resumes where it
+    stopped, the move that made it, and its suffix masks (see ``_suffix``).
+    An advance reads the key and masks from the top frame, so a switch of
+    sides saves nothing, and popping a frame reverts its move.  Only the top
+    frame can have an exhausted child, so a flag local to one advance counts
+    backtracks.  Candidates are read over ``unfixed`` (all variables without
+    suffix fixing): a variable that cannot move has an empty table entry.
 
-    The stack is the path from the start, so the witness moves are the
-    frames' moves, then ``move``.  At a frontier meeting the met node is
+    The stack is the path from the root, so the witness moves are the
+    frames' moves, then the last one.  At a frontier meeting the met node is
     always on the other side's stack: every cut preserves completeness from
     any node, so a node whose subtree was exhausted cannot reach its side's
     goal, and the meeting shows that this one does.
     """
-    vals = list(start)
-    rows = core.rows(vals)
-    unfixed, frontier = _suffix(core, vals, goal)
     stride, fanout = core.stride, core.fanout
-    extend, fix, dedup = cfg.suffix_extension, cfg.suffix_fixing, cfg.visited_dedup
-    every = (1 << len(vals)) - 1
-    goal_key = sum(map(operator.mul, goal, stride))
-    key = sum(map(operator.mul, vals, stride))
-    visited.add(key)
-    move = None
-    backtracks = 0
-    failed = False  # a child of the top frame was exhausted
+    extend, fix, dedup, budget = (cfg.suffix_extension, cfg.suffix_fixing,
+                                  cfg.visited_dedup, cfg.budget)
+    every = (1 << len(stride)) - 1
+    seen = [set() for _ in sides]
+    others = seen[::-1] if len(sides) == 2 else [()]
+    states = [(table, list(start), core.rows(start), goal,
+               sum(map(operator.mul, goal, stride)), visited, [], other)
+              for (_, table, start, goal), visited, other in zip(sides, seen, others)]
+    bidirectional = len(states) == 2
+    active = expansions = backtracks = 0
     while True:
+        if budget is not None and expansions >= budget:
+            return BUDGET_EXHAUSTED, expansions, backtracks, active, None, False
+        table, vals, rows, goal, goal_key, visited, stack, other = states[active]
+        if stack:
+            failed = False  # a child of the top frame was exhausted
+            while True:
+                key, children, _, unfixed, frontier = stack[-1]
+                for p, value in children:
+                    old = vals[p]
+                    child = key + (value - old) * stride[p]
+                    hit = child == goal_key or child in other
+                    if dedup and not hit and child in visited:
+                        continue  # silent dedup skip, not a tried sibling
+                    if failed:
+                        backtracks += 1
+                        failed = False
+                    if hit:
+                        moves = [frame[2] for frame in stack[1:]] + [(p, old, value)]
+                        met = 0
+                        if bidirectional:
+                            # the other side's root is this side's goal; a later frame is a meeting
+                            there = states[1 - active][6]
+                            met = [frame[0] for frame in there].index(child)
+                        if met:
+                            # Improving path y -> meet plus the reverse of the
+                            # worsening path x -> meet, as one improving chain from y.
+                            rest = [frame[2] for frame in there[1:met + 1]]
+                            up, down = (rest, moves) if active else (moves, rest)
+                            moves = up + [(q, new, old) for q, old, new in reversed(down)]
+                        return DOMINATES, expansions, backtracks, active, moves, bool(met)
+                    visited.add(child)
+                    break
+                else:
+                    _, _, move, _, _ = stack.pop()
+                    if not stack:
+                        return NOT_DOMINATED, expansions, backtracks, active, None, False
+                    p, old, new = move
+                    vals[p] = old
+                    for c, weight in fanout[p]:
+                        rows[c] += (old - new) * weight
+                    failed = True
+                    continue
+                break
+            vals[p] = value
+            for c, weight in fanout[p]:
+                rows[c] += (value - old) * weight
+            unfixed, frontier = _refix(core, vals, goal, p, unfixed, frontier)
+            key, move = child, (p, old, value)
+        else:
+            key, move = sum(map(operator.mul, vals, stride)), None
+            visited.add(key)
+            unfixed, frontier = _suffix(core, vals, goal)
         p = _extension(table, rows, vals, goal, frontier) if extend else None
         if p is not None:
             children = [(p, goal[p])]
         else:
             children = _ordered(table, rows, vals, unfixed if fix else every, cfg)
         stack.append((key, iter(children), move, unfixed, frontier))
-        yield backtracks
-        while stack:
-            key, children, _, _, _ = stack[-1]
-            for p, value in children:
-                old = vals[p]
-                child = key + (value - old) * stride[p]
-                hit = child == goal_key or (other is not None and child in other)
-                if dedup and not hit and child in visited:
-                    continue  # silent dedup skip, not a tried sibling
-                if failed:
-                    backtracks += 1
-                    failed = False
-                if hit:
-                    return child, (p, old, value), backtracks
-                visited.add(child)
-                break
-            else:
-                _, _, move, _, _ = stack.pop()
-                if stack:
-                    p, old, new = move
-                    vals[p] = old
-                    for c, weight in fanout[p]:
-                        rows[c] += (old - new) * weight
-                    _, _, _, unfixed, frontier = stack[-1]
-                    failed = True
-                continue
-            break
-        else:
-            return None, None, backtracks
-        vals[p] = value
-        for c, weight in fanout[p]:
-            rows[c] += (value - old) * weight
-        unfixed, frontier = _refix(core, vals, goal, p, unfixed, frontier)
-        key, move = child, (p, old, value)
+        expansions += 1
+        if bidirectional:
+            active = 1 - active
 
 
 def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = None) -> Verdict:
     """Decide whether the net entails x > y.
 
     Improving search walks from y toward x, worsening from x toward y, and
-    bidirectional mode alternates one expansion per side, concluding as soon
-    as either side finishes or the frontiers meet (meeting at z gives
-    x > z > y, hence x > y; the witnesses are spliced at z).  On a committed
-    net (``_Core.committed``) no pre-check runs; otherwise the rank and
-    forward-prune pre-checks run first.
+    bidirectional mode alternates one expansion per side in one loop,
+    concluding as soon as either side finishes or the frontiers meet
+    (meeting at z gives x > z > y, hence x > y; the witnesses are spliced at
+    z).  A search expands at most ``cfg.budget`` nodes, each root included.
+    On a committed net (``_Core.committed``) no pre-check runs; otherwise the
+    rank and forward-prune pre-checks run first.
     """
     cfg = _config(cfg)
     core, (xs, ys) = _compiled(net, x, y)
@@ -778,58 +803,28 @@ def _flip_search(
     """The flip search proper, from the encoded outcomes, and the one place a
     searched verdict is built.  A side is ``(direction, table, start, goal)``,
     improving first.  A committed search walks the first side alone
-    (``_committed_walk``); any other runs one ``_dfs`` per side, advanced one
-    expansion at a time and alternated in bidirectional mode."""
+    (``_committed_walk``); any other runs ``_dfs`` over the sides.  Each
+    returns its verdict kind, expansions and witness moves, from which the
+    stats and at most one witness are built here."""
     if xs == ys:
         return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
     sides = [(IMPROVING, core.up, ys, xs), (WORSENING, core.down, xs, ys)]
     sides = sides if cfg.direction == BIDIRECTIONAL else [sides[cfg.direction == WORSENING]]
-    committed = core.committed(cfg)
-    active = backtracks = 0
-    if committed:
+    if core.committed(cfg):
         _, table, start, goal = sides[0]
         kind, total, moves = _committed_walk(core, table, list(start), goal, cfg.budget)
+        backtracks, side, met = 0, 0, False
     else:
-        bidirectional = len(sides) == 2
-        visited = [set() for _ in sides]
-        stacks: list[list] = [[] for _ in sides]
-        walks = [_dfs(core, table, start, goal, cfg, visited[k], stacks[k],
-                      visited[1 - k] if bidirectional else None)
-                 for k, (_, table, start, goal) in enumerate(sides)]
-        counts = [next(walk) for walk in walks]  # the root expansions
-        total = len(walks)
-        while True:
-            if cfg.budget is not None and total >= cfg.budget:
-                kind = BUDGET_EXHAUSTED
-                break
-            try:
-                counts[active] = next(walks[active])
-            except StopIteration as done:
-                hit, move, counts[active] = done.value
-                kind = NOT_DOMINATED if hit is None else DOMINATES
-                break
-            total += 1
-            if bidirectional:
-                active = 1 - active
-        backtracks = sum(counts)
+        kind, total, backtracks, side, moves, met = _dfs(core, sides, cfg)
 
-    direction = sides[active][0]
+    direction = sides[side][0]
     cut = kind == BUDGET_EXHAUSTED
     stats = SearchStats(total, backtracks, "none" if cut else direction,
                         "budget" if cut else "search")
     witness = None
     if kind == DOMINATES and cfg.want_witness:
-        if not committed:
-            moves = [frame[2] for frame in stacks[active][1:]] + [move]
-            # the other side's root is this side's goal; a later frame is a meeting
-            met = [frame[0] for frame in stacks[1 - active]].index(hit) if bidirectional else 0
-            if met:
-                # Frontier meeting: improving path y -> meet plus the reverse of
-                # the worsening path x -> meet, as one improving chain from y.
-                rest = [frame[2] for frame in stacks[1 - active][1:met + 1]]
-                up, down = (moves, rest) if direction == IMPROVING else (rest, moves)
-                moves = up + [(p, new, old) for p, old, new in reversed(down)]
-                direction = IMPROVING
+        if met:
+            direction = IMPROVING
         witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
     return Verdict(kind, witness, stats)
 

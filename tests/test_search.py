@@ -597,6 +597,11 @@ def _committed_nets():
     return chains + [random_tree(rng, n) for n in (3, 5, 6)]
 
 
+def _backtracking_nets():
+    rng = random.Random(7)
+    return [random_net(rng, 3, (2, 3), 2) for _ in range(12)]
+
+
 class TestOneWalk:
     """On committed nets a search is one flat walk, outside ``_dfs``,
     and bidirectional mode runs the improving walk alone."""
@@ -625,22 +630,34 @@ class TestOneWalk:
             _search(nets[0], x, y, SearchConfig(rightmost=False))
 
     def test_budget_cuts_the_walk_at_exactly_its_budget(self):
-        cut = 0
-        for net in _committed_nets():
-            for x, y in all_pairs(net):
-                for direction in ("improving", "worsening", "bidirectional"):
-                    cfg = SearchConfig(direction=direction)
-                    full = dominates(net, x, y, cfg)
-                    for budget in range(1, full.stats.expansions + 2):
-                        verdict = dominates(net, x, y, replace(cfg, budget=budget))
-                        if budget <= full.stats.expansions:
-                            assert verdict.kind == BUDGET_EXHAUSTED
-                            assert verdict.stats.expansions == budget
-                            assert verdict.stats.decided_by == "budget"
-                            cut += 1
-                        else:
-                            assert verdict == full
-        assert cut > 10000
+        """A search expands at most ``budget`` nodes, each root included, on
+        committed nets and on nets that backtrack alike."""
+        assert _cuts(_committed_nets(), rightmost=True) > 10000
+        assert _cuts(_backtracking_nets(), rightmost=False) > 4000
+
+
+def _cuts(nets, rightmost):
+    """How many budgets cut a searched query of ``nets``, checking that each
+    budget at or below its full expansions reports exactly that budget, and
+    that one budget more gives the unbudgeted verdict."""
+    cut = 0
+    for net in nets:
+        for x, y in all_pairs(net):
+            for direction in ("improving", "worsening", "bidirectional"):
+                cfg = SearchConfig(direction=direction, rightmost=rightmost)
+                full = dominates(net, x, y, cfg)
+                if full.stats.decided_by != "search":
+                    continue
+                for budget in range(1, full.stats.expansions + 2):
+                    verdict = dominates(net, x, y, replace(cfg, budget=budget))
+                    if budget <= full.stats.expansions:
+                        assert verdict.kind == BUDGET_EXHAUSTED
+                        assert verdict.stats.expansions == budget
+                        assert verdict.stats.decided_by == "budget"
+                        cut += 1
+                    else:
+                        assert verdict == full
+    return cut
 
 
 POLY3_TEXT = """

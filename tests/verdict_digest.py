@@ -13,7 +13,9 @@ number of queries, how many were decided by each stage, and how many nets
 have a degenerate declared parent (one that the variable's table does not
 depend on, which the engine compiles away) and how many have none.  It
 exits 1 if a stage decided none or either kind of net is missing
-(``REACH``).  The script is stdlib-only and is not collected by pytest.
+(``REACH``), or if the seed is in ``PINNED`` and its digest is not the
+pinned one.  A change that moves a verdict, stats or witness on purpose
+re-records ``PINNED`` and says so.  The script is stdlib-only and is not collected by pytest.
 ``tests/transcript.py`` asks a slice of the same sweep: one net per family
 and a few pairs per net, under every configuration.
 """
@@ -35,6 +37,11 @@ DIRECTIONS = ("improving", "worsening", "bidirectional")
 STAGES = ("budget", "equal", "prune", "rank", "search")  # every decided_by stage
 NETS = ("degenerate parent", "no degenerate parent")  # nets with and without one
 REACH = STAGES + NETS
+# seed -> the digest the engine must print for it
+PINNED = {
+    1: "89d1fee517175608fc5e8f13d11eeedd94dc4b5e1193ae183b44e1a1f85d0af1",
+    23: "4ece06ec37e990734bb01008de56b7de38fcb28339e28b6aab2ca2f508ab4629",
+}
 
 
 def verdicts(seed: int, per_family: int = 6, pairs: int = 150) -> Iterator[tuple]:
@@ -108,7 +115,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  decided_by {stage}: {counts[stage]}")
     for label in NETS:
         print(f"  nets with {label}: {counts[label]}")
-    return coverage_exit(counts, REACH)
+    code = coverage_exit(counts, REACH)
+    pinned = PINNED.get(args.seed, hexdigest)
+    if hexdigest != pinned:
+        print(f"seed {args.seed}: expected sha256 {pinned}, got {hexdigest}", file=sys.stderr)
+        code = 1
+    return code
 
 
 if __name__ == "__main__":
