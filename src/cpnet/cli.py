@@ -58,6 +58,7 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
         least_improving=not args.no_least_improving,
         visited_dedup=not args.no_dedup,
         budget=args.budget,
+        want_witness=args.witness,
     )
 
 
@@ -117,7 +118,7 @@ def _cmd_dominates(args: argparse.Namespace) -> int:
     verdict = search.dominates(net, better, worse, _search_config(args))
     if verdict.kind == search.DOMINATES:
         print("dominates")
-        if args.witness and verdict.witness is not None:
+        if verdict.witness is not None:
             for line in _witness_lines(net, verdict.witness):
                 print(line)
         code = EXIT_OK

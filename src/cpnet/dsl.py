@@ -507,11 +507,13 @@ def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
 
     An id holding a comma or a quote, or with surrounding whitespace, is
     quoted.  The reader is line-based, so an empty id or one holding a line
-    break (anything ``str.splitlines`` splits on) raises ``CPNetError``, as
-    does a row whose outcome is not one of the net's.
+    break (anything ``str.splitlines`` splits on) raises ``CPNetError``; so
+    do an id that repeats an earlier row's, which the reader would drop, and
+    a row whose outcome is not one of the net's.
     """
     _usable(net)
     lines = ["id," + ",".join(net.names)]
+    first: dict[str, int] = {}  # id -> the number of the row that used it first
     for number, row in enumerate(rows, start=1):
         _expect(row, CatalogRow, "a catalog row")
         _expect(row.identifier, str, "a catalog row id")
@@ -519,6 +521,8 @@ def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
         text = row.identifier
         if text.splitlines() != [text]:
             raise CPNetError(f"row {number}: id {text!r} is empty or holds a line break")
+        if first.setdefault(text, number) != number:
+            raise CPNetError(f"row {number}: id {text!r} repeats the id of row {first[text]}")
         if "," in text or '"' in text or text != text.strip():
             text = '"' + text.replace('"', '""') + '"'
         lines.append(",".join([text, *row.outcome.values]))

@@ -198,11 +198,6 @@ class CPNet:
         _usable(self, outcome)
         return _bindings(self.names, outcome.values)
 
-    def check_outcome(self, outcome: Outcome) -> None:
-        """Raise ``CPNetError`` unless the net validates and ``outcome`` is
-        one of its outcomes (see :func:`_usable`)."""
-        _usable(self, outcome)
-
     # -- validation ------------------------------------------------------
 
     def _build_caches(self, index: dict[str, int], parents: list[tuple[int, ...]],

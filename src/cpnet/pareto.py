@@ -26,7 +26,7 @@ once, to find its number, and no outcome is hashed per pair tested.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dsl import CatalogRow
 from .model import CPNet, Outcome, _expect
@@ -57,9 +57,8 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
             front_only: bool) -> _Pass:
     """The rank-ordered dominance pass over the rows' unique outcomes; ties
     in rank keep first appearance.  With ``front_only`` only layer 0 is
-    scanned, giving at most two layers.  The pass reads verdicts only, so it
-    builds no witnesses."""
-    cfg = replace(cfg, want_witness=False)
+    scanned, giving at most two layers.  A search's kind is read from the
+    tuple of ``_flip_search``: the pass builds no verdict, stats or witness."""
     rows = list(rows)
     for row in rows:
         _expect(row, CatalogRow, "a catalog row")
@@ -67,13 +66,11 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
     core, codes = _compiled(net, *(row.outcome for row in rows))
     found = _Pass([], [], {}, [], 0)
     number: dict[Outcome, int] = {}
-    unique: list[Outcome] = []
     rank: list[int] = []
     code: list[list[int]] = []
     for row, vals in zip(rows, codes):
         k = number.setdefault(row.outcome, len(code))
         if k == len(code):
-            unique.append(row.outcome)
             rank.append(core.rank(vals))
             code.append(vals)
             found.members.append([])
@@ -87,7 +84,7 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
             better = code[a]
             if not core.prune(better, worse)[-1]:
                 continue  # refuted, under any budget
-            kind = _flip_search(core, unique[a], unique[b], better, worse, cfg).kind
+            kind = _flip_search(core, better, worse, cfg)[0]
             if kind == DOMINATES:
                 found.winner[b] = a
                 layer[b] = layer[a] + 1

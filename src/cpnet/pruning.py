@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .model import CPNet, Outcome, _expect, _usable
+from .model import CPNet, Outcome, _expect, _sequence, _usable
 from .search import _compiled
 
 
@@ -53,14 +53,16 @@ def value_graph(
     A row contributes its adjacent-pair arcs iff every parent binding lies in
     that parent's surviving set (``pruned_so_far``; full domains by default).
     Only successive values of a row are connected, never the long jumps.
-    Arcs are sorted by the tail's domain position, then the head's.
+    Arcs are sorted by the tail's domain position, then the head's.  A
+    survivor set given as a string raises ``CPNetError``, rather than being
+    read as its characters.
     """
     _usable(net)
     var = net.variable(variable)
     if pruned_so_far is not None:
         _expect(pruned_so_far, Mapping, "a mapping of surviving values")
     surviving = {
-        name: frozenset(values)
+        name: frozenset(_sequence(values, f"survivor set of {name!r}"))
         for name, values in (pruned_so_far or {}).items()
     }
     arcs: set[tuple[str, str]] = set()

@@ -5,9 +5,9 @@ flipping sequence, either upward from y (improving), downward from x
 (worsening), or both at once with a deterministic strict alternation that
 concludes when the two frontiers meet.  The flipping sequence is the proof:
 a walk and a DFS (``_dfs``, both sides in one loop, which splices a frontier
-meeting) each return their moves, and ``_flip_search`` builds every searched
-verdict, stats and witness from them.  A search expands at most ``budget``
-nodes, each side's root included.
+meeting) each return their moves, which ``_flip_search`` returns in one
+tuple with the kind and counts; ``_verdict`` alone builds a searched verdict
+from it.  A search expands at most ``budget`` nodes, each root included.
 
 Completeness-preserving machinery:
 
@@ -405,7 +405,7 @@ class _Core:
     def encode(self, values: tuple[str, ...]) -> list[int]:
         """The value indices of an outcome, in topological order.  Raises
         ``KeyError`` or ``TypeError`` exactly on the outcomes that
-        ``CPNet.check_outcome`` refuses."""
+        ``model._usable`` refuses."""
         if not isinstance(values, tuple) or len(values) != len(self.codes):
             raise TypeError("not an outcome of this net")
         return [code[values[i]] for code, i in self.codes]
@@ -787,37 +787,23 @@ def dominates(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig | None = Non
             return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="rank"))
         if not core.prune(xs, ys)[-1]:
             return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="prune"))
-    return _flip_search(core, x, y, xs, ys, cfg)
+    return _verdict(core, x, y, xs, ys, cfg)
 
 
 def _search(net: CPNet, x: Outcome, y: Outcome, cfg: SearchConfig) -> Verdict:
     """``dominates`` without the pre-check, so every negative is searched
     exhaustively; the oracle sweep checks the search itself through this."""
     core, (xs, ys) = _compiled(net, x, y)
-    return _flip_search(core, x, y, xs, ys, cfg)
+    return _verdict(core, x, y, xs, ys, cfg)
 
 
-def _flip_search(
-    core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int], cfg: SearchConfig
-) -> Verdict:
-    """The flip search proper, from the encoded outcomes, and the one place a
-    searched verdict is built.  A side is ``(direction, table, start, goal)``,
-    improving first.  A committed search walks the first side alone
-    (``_committed_walk``); any other runs ``_dfs`` over the sides.  Each
-    returns its verdict kind, expansions and witness moves, from which the
-    stats and at most one witness are built here."""
+def _verdict(core: _Core, x: Outcome, y: Outcome, xs: list[int], ys: list[int],
+             cfg: SearchConfig) -> Verdict:
+    """The one place a searched verdict is built: ``equal`` outcomes, or the
+    stats of ``_flip_search`` and at most one witness, from its moves."""
     if xs == ys:
         return Verdict(NOT_DOMINATED, stats=SearchStats(decided_by="equal"))
-    sides = [(IMPROVING, core.up, ys, xs), (WORSENING, core.down, xs, ys)]
-    sides = sides if cfg.direction == BIDIRECTIONAL else [sides[cfg.direction == WORSENING]]
-    if core.committed(cfg):
-        _, table, start, goal = sides[0]
-        kind, total, moves = _committed_walk(core, table, list(start), goal, cfg.budget)
-        backtracks, side, met = 0, 0, False
-    else:
-        kind, total, backtracks, side, moves, met = _dfs(core, sides, cfg)
-
-    direction = sides[side][0]
+    kind, total, backtracks, direction, moves, met = _flip_search(core, xs, ys, cfg)
     cut = kind == BUDGET_EXHAUSTED
     stats = SearchStats(total, backtracks, "none" if cut else direction,
                         "budget" if cut else "search")
@@ -827,6 +813,22 @@ def _flip_search(
             direction = IMPROVING
         witness = FlipSequence(y if direction == IMPROVING else x, core.path(moves, direction))
     return Verdict(kind, witness, stats)
+
+
+def _flip_search(core: _Core, xs: list[int], ys: list[int], cfg: SearchConfig) -> tuple:
+    """The flip search proper, between two distinct encoded outcomes.  A side
+    is ``(direction, table, start, goal)``, improving first; a committed
+    search walks the first side alone (``_committed_walk``), any other runs
+    ``_dfs`` over the sides.  Returns ``_dfs``'s tuple with the deciding
+    side's direction for its index; a walk never backtracks or meets."""
+    sides = [(IMPROVING, core.up, ys, xs), (WORSENING, core.down, xs, ys)]
+    sides = sides if cfg.direction == BIDIRECTIONAL else [sides[cfg.direction == WORSENING]]
+    if core.committed(cfg):
+        direction, table, start, goal = sides[0]
+        kind, total, moves = _committed_walk(core, table, list(start), goal, cfg.budget)
+        return kind, total, 0, direction, moves, False
+    kind, total, backtracks, side, moves, met = _dfs(core, sides, cfg)
+    return kind, total, backtracks, sides[side][0], moves, met
 
 
 def _committed_walk(core: _Core, table: tuple, vals: list[int], goal: list[int],

@@ -268,3 +268,16 @@ def coverage_exit(counts: Mapping[str, int], labels: Iterable[str]) -> int:
     if missed:
         print("sweep did not reach: " + ", ".join(missed), file=sys.stderr)
     return 1 if missed else 0
+
+
+def pinned_exit(seed: int, found: Mapping[str, object],
+                pinned: Mapping[int, Mapping[str, str]]) -> int:
+    """A digest script's exit code for its pins: 1 when ``seed`` is in
+    ``pinned`` and one of its pinned digests is not the one in ``found``,
+    after naming each expected and actual value on stderr, else 0.  An
+    unpinned seed is not compared."""
+    moved = [(label, want) for label, want in pinned.get(seed, {}).items()
+             if found[label] != want]
+    for label, want in moved:
+        print(f"seed {seed}: expected {label} sha256 {want}, got {found[label]}", file=sys.stderr)
+    return 1 if moved else 0

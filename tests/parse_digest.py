@@ -23,7 +23,8 @@ It prints the digest of every ``repr((diagnostics, variables, tables))`` in
 that order, the number of texts, how many had diagnostics, and how many were
 read by the line reader and how many by the tokenizer (a text that calls
 ``dsl._tokenize`` counts as tokenized).  It exits 1 if any of those three
-counts is 0 (``REACH``).  The script is stdlib-only and is not collected by
+counts is 0 (``REACH``), or if the seed is in ``PINNED`` and its digest is
+not the pinned one.  The script is stdlib-only and is not collected by
 pytest.  ``tests/transcript.py`` parses a slice of the same corpus, every
 kind of text at a hundredth of its count.
 """
@@ -44,6 +45,8 @@ WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[:,|=>]")
 SPACES = (" ", "  ", "\t", "\x0c", "\r", "\u3000", "\xa0")
 # what the corpus must reach: texts read by each reader, and refused ones
 REACH = ("read by the line reader", "read by the tokenizer", "with diagnostics")
+# seed -> the digest the parser must print for it
+PINNED = {1: {"parse": "a1ba6c96fa5fbf2594f251ae7e9d2e030c9eecafd9d08b2ea3277cf970f2f820"}}
 NOISE = ("\x85", "\x1c", "\u2028", "\u3000", "\U0001f600", "\ud800", "\udfff", "\x00", "\xe9")
 
 
@@ -202,13 +205,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))  # this checkout's parser
     sys.path.insert(0, str(ROOT / "perfbench"))  # the net generator
-    from helpers import coverage_exit
+    from helpers import coverage_exit, pinned_exit
 
     hexdigest, total, counts = digest(args.seed)
     print(f"seed {args.seed}: {total} texts, sha256 {hexdigest}")
     for label, count in sorted(counts.items()):
         print(f"  {label}: {count}")
-    return coverage_exit(counts, REACH)
+    return coverage_exit(counts, REACH) | pinned_exit(args.seed, {"parse": hexdigest}, PINNED)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ the digest takes, in order, the text of ``render_planning_problem``, what
 plan, ``None``, or the message of the cap's ``CPNetError``) and, for a plan,
 the ``repr`` of the ``FlipSequence`` that ``plan_to_flip_sequence`` replays.
 It prints the digest, then how many problems were solved, unsolvable and
-over the cap, and exits 1 if any of the three counts is 0 (``REACH``).  The
+over the cap, and exits 1 if any of the three counts is 0 (``REACH``), or
+if the seed is in ``PINNED`` and its digest is not the pinned one.  The
 script is stdlib-only and is not collected by pytest.
 ``tests/transcript.py`` records a slice of the same sweep: one net per family
 and two pairs per net.
@@ -33,6 +34,8 @@ from typing import Iterator
 SRC = Path(__file__).resolve().parents[1] / "src"
 CAP = 50
 REACH = ("solved", "unsolvable", "over cap")  # what the sweep must reach
+# seed -> the digest the planning route must print for it
+PINNED = {1: {"plan": "4104dbdcfb7a22b53ae2b86b67bf06174bbef57cfa3760408ea0423a4017ed5c"}}
 
 
 def _walk(rng: random.Random, net, start, steps: int):
@@ -110,13 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("seed", type=int, help="seed of the nets and pairs")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))  # this checkout's engine
-    from helpers import coverage_exit
+    from helpers import coverage_exit, pinned_exit
 
     found = digest(args.seed)
     print(f"seed {args.seed}: plan sha256 {found['sha']}")
     print(f"  solved {found['solved']}, unsolvable {found['unsolvable']}, "
           f"over cap {found['over cap']}")
-    return coverage_exit(found, REACH)
+    return coverage_exit(found, REACH) | pinned_exit(args.seed, {"plan": found["sha"]}, PINNED)
 
 
 if __name__ == "__main__":

@@ -176,6 +176,23 @@ class TestDominates:
         assert "direction=worsening" in lines[3]
         assert lines[3].endswith("decided_by=search")
 
+    @pytest.mark.parametrize("name, better, worse, stats", [
+        ("chain3", "A=a,B=b,C=c", "A=abar,B=bbar,C=cbar",
+         "expansions=3 backtracks=0 direction=improving decided_by=search"),
+        ("polytree8", "A=a,B=bbar,C=cbar,D=dbar,E=ebar,F=f,G=g,H=hbar",
+         "A=a,B=bbar,C=c,D=d,E=e,F=f,G=gbar,H=h",
+         "expansions=8 backtracks=0 direction=improving decided_by=search"),
+    ])  # committed, then not
+    def test_stats_without_witness_build_no_witness(self, capsys, monkeypatch, name, better,
+                                                    worse, stats):
+        def refuse(self, moves, direction):
+            raise AssertionError("dominates built a witness it does not print")
+
+        monkeypatch.setattr(cpnet.search._Core, "path", refuse)
+        code, out, _ = run(capsys, "dominates", str(FIXTURES / f"{name}.cpnet"),
+                           "--better", better, "--worse", worse, "--stats")
+        assert (code, out) == (0, f"dominates\n{stats}\n")
+
     def test_stats_name_the_prune_refutation(self, capsys):
         code, out, _ = run(
             capsys,

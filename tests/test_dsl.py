@@ -507,6 +507,15 @@ class TestCatalog:
             serialize_catalog(chain2, rows)
         assert str(caught.value) == message
 
+    def test_serialize_refuses_a_repeated_id(self, chain2):
+        # the reader would keep the first row and drop the second
+        rows = [CatalogRow("p1", outcome(chain2, "A=a,B=bbar")),
+                CatalogRow("r", outcome(chain2, "A=a,B=b")),
+                CatalogRow("r", outcome(chain2, "A=abar,B=b"))]
+        with pytest.raises(CPNetError) as caught:
+            serialize_catalog(chain2, rows)
+        assert str(caught.value) == "row 3: id 'r' repeats the id of row 2"
+
     @pytest.mark.parametrize(
         "values, message",
         [(("zz", "b"), "unknown value 'zz' for variable A"),

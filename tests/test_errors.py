@@ -125,6 +125,8 @@ PROBES = {
     # survivors
     "value_graph-survivors": (TypeError, lambda net: value_graph(net, "B", 5)),
     "value_graph-variable": (CPNetError, lambda net: value_graph(net, 5)),
+    # a string is not a survivor set, though it iterates as its characters
+    "value_graph-string-survivors": (CPNetError, lambda net: value_graph(net, "B", {"A": "abar"})),
     # planning problems and plans
     "render_planning_problem": (TypeError, lambda net: render_planning_problem(5)),
     "solve_planning_problem": (TypeError, lambda net: solve_planning_problem(5)),

@@ -86,12 +86,19 @@ class TestParetoFront:
         rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(net))]
         assert dominates(net, rows[0].outcome, rows[-1].outcome).witness is not None
 
-        def refuse(self, moves, direction):
-            raise AssertionError("the catalog pass built a witness")
+        def refuse(what):
+            def build(*args, **kwargs):
+                raise AssertionError(f"the catalog pass built {what}")
+            return build
 
-        monkeypatch.setattr(_Core, "path", refuse)
+        monkeypatch.setattr(_Core, "path", refuse("a witness"))
+        monkeypatch.setattr(search, "Verdict", refuse("a verdict"))
+        monkeypatch.setattr(search, "SearchStats", refuse("search stats"))
         assert pareto_front(net, rows).dominated
         assert len(sort_catalog(net, rows)) > 1
+        cut = SearchConfig(budget=1)  # a budget that cuts the searched pairs
+        assert pareto_front(net, rows, cut).undecided
+        assert sort_catalog(net, rows, cut)
 
     def test_equal_rank_pair_needs_no_search(self, chain3):
         rows = _rows(
