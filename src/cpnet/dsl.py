@@ -21,10 +21,11 @@ returns the net and its problems as ``(statement, word, message)``.  A line
 that does not match, a keyword used as a name, or any problem sends the whole
 text to the positioned reader, which alone places diagnostics: one regex over
 each line yields ``(kind, text, line, column)`` tokens, one routine parses all
-three statements, and after an error parsing resumes at the next keyword.  A
-refused text is thus read twice.  Both readers share one string per distinct
-word, so a parsed net's memory grows with its vocabulary, not with its text,
-whose CPT rows repeat every name and value they mention.
+three statements, and its one token check raises ``_Stop`` at the first token
+that does not fit; one handler puts that error on the token and resumes at the
+next keyword.  A refused text is thus read twice.  Both readers share one
+string per distinct word, so a parsed net's memory grows with its vocabulary,
+not with its text, whose CPT rows repeat every name and value they mention.
 
 The catalog reader also goes line by line: one pass over the non-blank lines, the
 first being the header.  A line with no quote is split at its commas; any
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .model import _WORD, CPNet, CPNetError, Outcome, Variable, _bindings, _expect, _usable
@@ -129,51 +131,41 @@ def _tokenize(text: str, diagnostics: list[SourceDiagnostic]) -> list[_Tok]:
     return tokens
 
 
-def _error(tok: _Tok, message: str, diagnostics: list[SourceDiagnostic]) -> None:
-    diagnostics.append(SourceDiagnostic(tok[2], tok[3], message))
+class _Stop(Exception):
+    """A syntax error, as ``args``: the index of its token, and its message."""
 
 
-def _statement(
-    tokens: list[_Tok], pos: int, diagnostics: list[SourceDiagnostic]
-) -> tuple[list[_Tok] | None, int, int]:
-    """Parse the statement whose keyword is at ``pos``: its tokens in the
-    order of a statement's words (None after an error), the index of its
-    first name after ':', and the position of the next unread token."""
-    keyword, head = tokens[pos][0], tokens[pos + 1]
-    if head[0] != "name":
-        _error(head, "expected a variable name", diagnostics)
-        return None, 0, pos + 1
+def _at(tokens: list[_Tok], i: int, kind: str, message: str) -> _Tok:
+    """Token ``i`` when it is of ``kind``; else raise ``_Stop(i, message)``."""
+    if tokens[i][0] != kind:
+        raise _Stop(i, message)
+    return tokens[i]
+
+
+def _statement(tokens: list[_Tok], pos: int) -> tuple[list[_Tok], int, int]:
+    """Parse the statement that starts at ``pos``: its tokens in the order
+    of a statement's words, the index of its first name after ':', and the
+    position of the next unread token.  Raise ``_Stop`` at the first token
+    that does not fit, the keyword included."""
+    keyword = tokens[pos][0]
+    if keyword not in KEYWORDS:
+        raise _Stop(pos, "expected 'var', 'parents', or 'cpt'")
+    words = [_at(tokens, pos + 1, "name", "expected a variable name")]
     pos += 2
-    words = [head]
     if keyword == "cpt" and tokens[pos][0] == "|":
         while True:
-            variable = tokens[pos + 1]
-            if variable[0] != "name":
-                _error(variable, "expected a condition variable", diagnostics)
-                return None, 0, pos + 1
-            if tokens[pos + 2][0] != "=":
-                _error(tokens[pos + 2], "expected '='", diagnostics)
-                return None, 0, pos + 2
-            value = tokens[pos + 3]
-            if value[0] != "name":
-                _error(value, "expected a condition value", diagnostics)
-                return None, 0, pos + 3
-            words += (variable, value)
+            variable = _at(tokens, pos + 1, "name", "expected a condition variable")
+            _at(tokens, pos + 2, "=", "expected '='")
+            words += (variable, _at(tokens, pos + 3, "name", "expected a condition value"))
             pos += 4
             if tokens[pos][0] != ",":
                 break
-    if tokens[pos][0] != ":":
-        _error(tokens[pos], "expected ':'", diagnostics)
-        return None, 0, pos
+    _at(tokens, pos, ":", "expected ':'")
     n = len(words)
     if keyword != "parents" or tokens[pos + 1][0] == "name":
         separator = ">" if keyword == "cpt" else ","
         while True:
-            item = tokens[pos + 1]
-            if item[0] != "name":
-                _error(item, "expected a name", diagnostics)
-                return None, 0, pos + 1
-            words.append(item)
+            words.append(_at(tokens, pos + 1, "name", "expected a name"))
             pos += 2
             if tokens[pos][0] != separator:
                 break
@@ -217,20 +209,20 @@ def _parse_positioned(text: str) -> ParseResult:
     places: list[list[_Tok]] = []  # the tokens of each statement's words
     pos = 0
     while tokens[pos][0] != "end":
-        keyword = tokens[pos][0]
-        if keyword in KEYWORDS:
-            toks, n, pos = _statement(tokens, pos, diagnostics)
-            if toks is not None:
-                stmts.append((keyword, [tok[1] for tok in toks], n))
-                places.append(toks)
-                continue
-        else:
-            _error(tokens[pos], "expected 'var', 'parents', or 'cpt'", diagnostics)
-        while tokens[pos][0] not in _RESUME:  # recover at the next keyword
-            pos += 1
+        try:
+            toks, n, end = _statement(tokens, pos)
+        except _Stop as stop:
+            pos, message = stop.args
+            diagnostics.append(SourceDiagnostic(*tokens[pos][2:], message))
+            while tokens[pos][0] not in _RESUME:  # recover at the next keyword
+                pos += 1
+            continue
+        stmts.append((tokens[pos][0], [tok[1] for tok in toks], n))
+        places.append(toks)
+        pos = end
     net, problems = _assemble(stmts)
     for stmt, word, message in problems:
-        _error(places[stmt][word], message, diagnostics)
+        diagnostics.append(SourceDiagnostic(*places[stmt][word][2:], message))
     return ParseResult(net, diagnostics)
 
 
@@ -239,9 +231,8 @@ def _assemble(stmts: list[_Stmt]) -> tuple[CPNet, list[tuple[int, int, str]]]:
     ``word`` indexes the words of statement ``stmt``."""
     problems: list[tuple[int, int, str]] = []
     report = problems.append
-    domains: dict[str, tuple[str, ...]] = {}
+    domains: dict[str, tuple[str, ...]] = {}  # in declaration order
     parents: dict[str, tuple[str, ...]] = {}
-    order: list[str] = []
 
     for s, (keyword, words, _) in enumerate(stmts):
         if keyword == "var":
@@ -255,7 +246,6 @@ def _assemble(stmts: list[_Stmt]) -> tuple[CPNet, list[tuple[int, int, str]]]:
                     report((s, k, f"duplicate value {value} for variable {name}"))
                 seen.add(value)
             domains[name] = tuple(words[1:])
-            order.append(name)
 
     for s, (keyword, words, _) in enumerate(stmts):
         if keyword == "parents":
@@ -276,7 +266,7 @@ def _assemble(stmts: list[_Stmt]) -> tuple[CPNet, list[tuple[int, int, str]]]:
                     plist.append(parent)
             parents[name] = tuple(plist)
 
-    tables: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {n: {} for n in order}
+    tables: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {n: {} for n in domains}
     for s, (keyword, words, n) in enumerate(stmts):
         if keyword != "cpt":
             continue
@@ -319,7 +309,7 @@ def _assemble(stmts: list[_Stmt]) -> tuple[CPNet, list[tuple[int, int, str]]]:
             continue
         tables[name][key] = tuple(words[n:])
 
-    variables = [Variable(n, domains[n], parents.get(n, ())) for n in order]
+    variables = [Variable(n, domain, parents.get(n, ())) for n, domain in domains.items()]
     return CPNet(variables, tables), problems
 
 
@@ -501,6 +491,20 @@ def parse_catalog(net: CPNet, text: str) -> tuple[list[CatalogRow], list[SourceD
     return rows, diagnostics
 
 
+def _catalog_rows(rows: Iterable[CatalogRow]) -> list[CatalogRow]:
+    """The rows as a list, after checking that each is a :class:`CatalogRow`
+    with a string id that no earlier row used; raise otherwise."""
+    rows = list(rows)
+    first: dict[str, int] = {}  # id -> the number of the row that used it first
+    for number, row in enumerate(rows, start=1):
+        _expect(row, CatalogRow, "a catalog row")
+        text = row.identifier
+        _expect(text, str, "a catalog row id")
+        if first.setdefault(text, number) != number:
+            raise CPNetError(f"row {number}: id {text!r} repeats the id of row {first[text]}")
+    return rows
+
+
 def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
     """Deterministic catalog text (id column first, variables in declaration
     order) that :func:`parse_catalog` reads back to the same rows.
@@ -513,16 +517,11 @@ def serialize_catalog(net: CPNet, rows: list[CatalogRow]) -> str:
     """
     _usable(net)
     lines = ["id," + ",".join(net.names)]
-    first: dict[str, int] = {}  # id -> the number of the row that used it first
-    for number, row in enumerate(rows, start=1):
-        _expect(row, CatalogRow, "a catalog row")
-        _expect(row.identifier, str, "a catalog row id")
+    for number, row in enumerate(_catalog_rows(rows), start=1):
         _usable(net, row.outcome)
         text = row.identifier
         if text.splitlines() != [text]:
             raise CPNetError(f"row {number}: id {text!r} is empty or holds a line break")
-        if first.setdefault(text, number) != number:
-            raise CPNetError(f"row {number}: id {text!r} repeats the id of row {first[text]}")
         if "," in text or '"' in text or text != text.strip():
             text = '"' + text.replace('"', '""') + '"'
         lines.append(",".join([text, *row.outcome.values]))

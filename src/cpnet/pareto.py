@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .dsl import CatalogRow
-from .model import CPNet, Outcome, _expect
+from .dsl import CatalogRow, _catalog_rows
+from .model import CPNet, Outcome
 from .search import BUDGET_EXHAUSTED, DOMINATES, SearchConfig, _compiled, _config, _flip_search
 
 
@@ -59,10 +59,7 @@ def _layers(net: CPNet, rows: Iterable[CatalogRow], cfg: SearchConfig,
     in rank keep first appearance.  With ``front_only`` only layer 0 is
     scanned, giving at most two layers.  A search's kind is read from the
     tuple of ``_flip_search``: the pass builds no verdict, stats or witness."""
-    rows = list(rows)
-    for row in rows:
-        _expect(row, CatalogRow, "a catalog row")
-        _expect(row.identifier, str, "a catalog row id")
+    rows = _catalog_rows(rows)
     core, codes = _compiled(net, *(row.outcome for row in rows))
     found = _Pass([], [], {}, [], 0)
     number: dict[Outcome, int] = {}
@@ -107,7 +104,7 @@ def pareto_front(
     pairs undecided rather than guessing.  A pair the forward prune refutes
     is decided without a search, so it is never undecided, under any
     budget.  ``comparisons_run`` counts the pairs tested, refuted or
-    searched.
+    searched.  A row id that repeats an earlier row's raises ``CPNetError``.
     """
     found = _layers(net, rows, _config(cfg), front_only=True)
     winner, members = found.winner, found.members
@@ -139,7 +136,8 @@ def sort_catalog(
 
     Layer 0 holds the non-dominated rows; a row lands in the first layer above
     every row that dominates it.  Ties within a layer are ordered by id.
-    Comparisons the budget cut off are treated as non-dominating.
+    Comparisons the budget cut off are treated as non-dominating.  A row id
+    that repeats an earlier row's raises ``CPNetError``.
     """
     found = _layers(net, rows, _config(cfg), front_only=False)
     return [sorted(i for k in tier for i in found.members[k]) for tier in found.tiers]

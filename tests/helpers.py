@@ -31,6 +31,22 @@ cpt B | A=0: 1x > 2x
 cpt B | A=1: 2x > 1x
 """
 
+# The smallest polytree on which no order by position alone commits: the
+# V-structure X1 -> X0 <- X2, declared X1, X2, X0.  X1 and X2 prefer 0; X0
+# prefers 0 only under X1=0, X2=1.  Not a fixture file, since the parse
+# digest and the transcript read every one of those.
+V_STRUCTURE = """var X1: 0, 1
+var X2: 0, 1
+var X0: 0, 1
+parents X0: X1, X2
+cpt X1: 0 > 1
+cpt X2: 0 > 1
+cpt X0 | X1=0, X2=0: 1 > 0
+cpt X0 | X1=0, X2=1: 0 > 1
+cpt X0 | X1=1, X2=0: 1 > 0
+cpt X0 | X1=1, X2=1: 1 > 0
+"""
+
 
 def load_net(name: str) -> CPNet:
     result = dsl.parse_cpnet((FIXTURES / f"{name}.cpnet").read_text())
@@ -166,6 +182,41 @@ def random_star(rng: random.Random, n_parents: int) -> CPNet:
     roots = [Variable(f"X{i}", (f"v{i}_0", f"v{i}_1"), ()) for i in range(n_parents)]
     child = Variable(f"X{n_parents}", ("c0", "c1"), tuple(v.name for v in roots))
     return _finish(rng, [*roots, child])
+
+
+def random_polytree(rng: random.Random, n_vars: int) -> CPNet:
+    """A binary polytree of ``n_vars`` (at least 3) variables: each picks up
+    to two earlier parents from distinct components of the graph so far, so
+    the undirected graph stays a forest, and some variable has two parents.
+    A table that does not depend on every declared parent is drawn again."""
+    assert n_vars >= 3
+    while True:
+        component = list(range(n_vars))
+        variables: list[Variable] = []
+        for i in range(n_vars):
+            parents: list[int] = []
+            for q in rng.sample(range(i), min(i, rng.randint(0, 2))):
+                if all(component[q] != component[p] for p in parents):
+                    parents.append(q)
+            joined = {component[p] for p in parents}
+            component = [i if c in joined else c for c in component]
+            variables.append(
+                Variable(f"X{i}", (f"v{i}_0", f"v{i}_1"), tuple(f"X{q}" for q in parents))
+            )
+        if any(len(v.parents) == 2 for v in variables):
+            break
+    tables = _random_tables(rng, variables)
+    while True:
+        net = CPNet(variables, tables)
+        kept = effective_parents(net)
+        stale = [v.name for v in variables if kept[v.name] != v.parents]
+        if not stale:
+            break
+        fresh = _random_tables(rng, variables)
+        tables.update((name, fresh[name]) for name in stale)
+    report = validate(net)
+    assert report.ok, report.problems
+    return net
 
 
 def all_pairs(net: CPNet) -> list[tuple[Outcome, Outcome]]:

@@ -20,13 +20,14 @@ The corpus holds 40,704 texts:
   separators, astral and surrogate code points).
 
 It prints the digest of every ``repr((diagnostics, variables, tables))`` in
-that order, the number of texts, how many had diagnostics, and how many were
+that order, the number of texts, how many had diagnostics, how many were
 read by the line reader and how many by the tokenizer (a text that calls
-``dsl._tokenize`` counts as tokenized).  It exits 1 if any of those three
-counts is 0 (``REACH``), or if the seed is in ``PINNED`` and its digest is
-not the pinned one.  The script is stdlib-only and is not collected by
-pytest.  ``tests/transcript.py`` parses a slice of the same corpus, every
-kind of text at a hundredth of its count.
+``dsl._tokenize`` counts as tokenized), and how many diagnostics carry each
+of the positioned reader's seven syntax-stop messages (``STOPS``).  It exits
+1 if any of those counts is 0 (``REACH``), or if the seed is in ``PINNED``
+and its digest is not the pinned one.  The script is stdlib-only and is not
+collected by pytest.  ``tests/transcript.py`` parses a slice of the same
+corpus, every kind of text at a hundredth of its count.
 """
 
 from __future__ import annotations
@@ -43,8 +44,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[:,|=>]")
 SPACES = (" ", "  ", "\t", "\x0c", "\r", "\u3000", "\xa0")
-# what the corpus must reach: texts read by each reader, and refused ones
-REACH = ("read by the line reader", "read by the tokenizer", "with diagnostics")
+# the message of each place where the positioned reader stops a statement
+STOPS = ("expected 'var', 'parents', or 'cpt'", "expected a variable name",
+         "expected a condition variable", "expected '='", "expected a condition value",
+         "expected ':'", "expected a name")
+# what the corpus must reach: texts read by each reader, refused ones, and
+# diagnostics with each stop message
+REACH = ("read by the line reader", "read by the tokenizer", "with diagnostics", *STOPS)
 # seed -> the digest the parser must print for it
 PINNED = {1: {"parse": "a1ba6c96fa5fbf2594f251ae7e9d2e030c9eecafd9d08b2ea3277cf970f2f820"}}
 NOISE = ("\x85", "\x1c", "\u2028", "\u3000", "\U0001f600", "\ud800", "\udfff", "\x00", "\xe9")
@@ -173,7 +179,8 @@ def record(result) -> bytes:
 
 def digest(seed: int) -> tuple[str, int, Counter]:
     """The SHA-256 over the parse of every text, the number of texts, and how
-    many had diagnostics and how many each reader took."""
+    many had diagnostics, how many each reader took and how many diagnostics
+    carry each stop message."""
     from cpnet import dsl
 
     tokenized = []
@@ -194,6 +201,7 @@ def digest(seed: int) -> tuple[str, int, Counter]:
             sha.update(record(result))
             counts["read by the tokenizer" if tokenized else "read by the line reader"] += 1
             counts["with diagnostics"] += bool(result.diagnostics)
+            counts.update(d.message for d in result.diagnostics if d.message in STOPS)
     finally:
         dsl._tokenize = tokenize
     return sha.hexdigest(), len(texts), counts

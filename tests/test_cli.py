@@ -125,6 +125,27 @@ class TestValidate:
 
 
 @pytest.mark.parametrize(
+    "args, code, out",
+    [
+        (["validate", "{net}"], 0, "ok\n"),
+        ([], 2, ""),
+        (["dominates", "{net}", "--better", "A=a,B=b", "--worse", "A=abar,B=bbar",
+          "--budget", "1"], 3, "budget-exhausted\n"),
+    ],
+    ids=["validate", "no-arguments", "budget-exhausted"],
+)
+def test_the_module_runs_as_a_program(chain2_path, args, code, out):
+    # ``python -m cpnet.cli`` goes through the __main__ guard and the
+    # ``sys.exit`` of ``entry_point``, which every other test skips
+    src = str(Path(cpnet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "cpnet.cli", *(arg.format(net=chain2_path) for arg in args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert (done.returncode, done.stdout) == (code, out)
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["validate", "{bad}"],

@@ -6,6 +6,7 @@ import pytest
 
 from cpnet import (
     CatalogRow,
+    CPNetError,
     Outcome,
     SearchConfig,
     all_outcomes,
@@ -192,6 +193,14 @@ class TestParetoFront:
 
 
 class TestPass:
+    @pytest.mark.parametrize("entry", [pareto_front, sort_catalog])
+    def test_a_repeated_id_is_refused(self, chain2, entry):
+        # the pass would report the id on both sides of a pair, or twice
+        rows = _rows(chain2, ("a", "A=a,B=b"), ("a", "A=abar,B=bbar"))
+        with pytest.raises(CPNetError) as caught:
+            entry(chain2, rows)
+        assert str(caught.value) == "row 2: id 'a' repeats the id of row 1"
+
     def test_an_iterator_reads_as_its_list(self, chain3):
         rows = [CatalogRow(f"r{i}", o) for i, o in enumerate(all_outcomes(chain3))]
         assert pareto_front(chain3, iter(rows)) == pareto_front(chain3, rows)

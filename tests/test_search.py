@@ -41,12 +41,14 @@ from cpnet import (
 from cpnet import search
 from cpnet.search import _compiled, _Core, _refix, _search, _suffix
 from helpers import (
+    V_STRUCTURE,
     all_pairs,
     effective_parents,
     outcome,
     random_chain,
     random_net,
     random_one_parent_tables,
+    random_polytree,
     random_star,
     random_tree,
     reference_tables,
@@ -701,6 +703,37 @@ class TestPolytreeBacktracking:
         verdict = dominates(poly3, x, y, SearchConfig(direction="improving"))
         assert verdict.kind == DOMINATES
         assert verdict.stats.backtracks == 0
+
+
+class TestPolytrees:
+    """The V-structure and seeded binary polytrees (``helpers.random_polytree``),
+    whose two-parent variables make the search backtrack."""
+
+    def test_the_v_structure_backtracks_once(self):
+        net = parse_cpnet(V_STRUCTURE).net
+        assert validate(net).ok
+        # over (X1, X2, X0): the only improving path flips X1, X0, then X2
+        x, y = outcome(net, "X1=0,X2=0,X0=0"), outcome(net, "X1=1,X2=1,X0=1")
+        verdict = _search(net, x, y, SearchConfig(direction="improving"))
+        assert verdict.kind == DOMINATES
+        assert [flip.variable for flip in verdict.witness.flips] == ["X1", "X0", "X2"]
+        assert (verdict.stats.expansions, verdict.stats.backtracks) == (5, 1)
+        assert verify_witness(net, x, y, verdict.witness)
+
+    def test_polytrees_match_the_oracle(self):
+        rng = random.Random(31)
+        cfg = SearchConfig()
+        backtracked = 0
+        for size in [3] * 4 + [4] * 4 + [5] * 6 + [6] * 3:
+            net = random_polytree(rng, size)
+            closure = oracle_closure(net)
+            for x, y in all_pairs(net):
+                expected = x in closure[y]
+                assert (dominates(net, x, y, cfg).kind == DOMINATES) == expected
+                verdict = _search(net, x, y, cfg)
+                assert (verdict.kind == DOMINATES) == expected, (net.names, x, y)
+                backtracked += expected and verdict.stats.backtracks > 0
+        assert backtracked
 
 
 class TestBudget:
